@@ -4,9 +4,10 @@
 ``src`` on ``PYTHONPATH`` and one JSON config argument.  It prints
 ``{"event": "ready"}`` once set-up is done: imports, grid build, the
 fleet's ``repro worker --listen`` spawn and an untimed warm-up campaign
-on a disjoint grid.  In ``setup`` mode it then exits.  Otherwise it runs
-the timed work, the no-op resume passes and the output checks, and
-prints one ``{"event": "result", ...}`` line.
+on a disjoint grid.  In ``setup`` mode it then exits.  Otherwise it
+waits for a line on its stdin, runs the timed work, the no-op resume
+passes and the output checks, and prints one ``{"event": "result", ...}``
+line.
 
 The timed work is a few equal segments, each one
 ``Campaign.run(backend="auto")`` on a fresh journal, with a host-speed
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -172,6 +174,8 @@ def main() -> None:
         common.emit({"event": "ready"})
         if cfg["mode"] == "setup":
             return
+        # Idle until the parent has taken its start-up probe.
+        sys.stdin.readline()
         result = measure(workload, seed, segments, journals, campaigns,
                          workers, worker, tracer, workdir)
         if tracer is not None:
@@ -271,9 +275,9 @@ def measure(workload, seed, segments, journals, campaigns, workers, worker,
         # Medians over segments: a segment during which the host's speed
         # changed away from what the probes on its sides saw is an
         # outlier the median drops.
-        "rate_scaled": common.median(
+        "rate_scaled": statistics.median(
             [ok / scaled for _, scaled, ok in segment_walls]),
-        "cpu_per_scenario_scaled_s": common.median(segment_cpu),
+        "cpu_per_scenario_scaled_s": statistics.median(segment_cpu),
         "peak_rss_mb": peak_rss,
         "latency_p50_s": common.percentile(latencies, 50),
         "latency_p90_s": common.percentile(latencies, 90),

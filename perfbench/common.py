@@ -21,9 +21,10 @@ _TICKS = os.sysconf("SC_CLK_TCK")
 
 #: Mean :func:`probe_once` time, in seconds, on the reference host (a
 #: 2-vCPU VM whose speed drifts by a fifth or more over minutes).  Every
-#: timing a run reports is scaled by this over the probe time measured
-#: in the same run around the same phase, so it reads as if taken at the
-#: reference speed; the raw timings go to the detail line.
+#: timing a run reports, set-up times aside (see STARTUP_REFERENCE_S),
+#: is scaled by this over the probe time measured in the same run around
+#: the same phase, so it reads as if taken at the reference speed; the
+#: raw timings go to the detail line.
 PROBE_REFERENCE_S = 0.05
 
 
@@ -60,6 +61,33 @@ def host_probe(reps: int = 5) -> float:
     return sum(probe_once() for _ in range(reps)) / reps
 
 
+#: Mean :func:`startup_probe` time, in seconds, on the reference host.
+#: Set-up times are scaled by this over the start-up probes taken just
+#: before and just after each set-up.
+STARTUP_REFERENCE_S = 0.3
+
+_STARTUP_CODE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "import argparse, concurrent.futures, http.client, http.server, "
+    "multiprocessing, socket, common; common.probe_once()"
+)
+
+
+def startup_probe() -> float:
+    """Seconds from spawning a fresh interpreter until it has imported
+    NumPy and the standard-library modules the program's start-up also
+    loads, and run :func:`probe_once` once.  A set-up is mostly
+    interpreter start-up and imports, which this follows more closely
+    than the in-process probe does; it runs no program code either."""
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-c", _STARTUP_CODE,
+         os.path.dirname(os.path.abspath(__file__))],
+        check=True, env=program_env(), stdout=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - t0
+
+
 def emit(doc: dict) -> None:
     """Write one JSON line to stdout and flush (the child protocol)."""
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -78,14 +106,6 @@ def above(values: list[float], pct: float) -> int:
     """How many samples lie strictly above the nearest-rank position of
     ``pct`` (the sample count backing that percentile's tail)."""
     return len(values) - max(1, math.ceil(pct / 100.0 * len(values)))
-
-
-def median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def program_env() -> dict:

@@ -69,8 +69,9 @@ def large_n(seed: int, seconds: float) -> list[list[ScenarioSpec]]:
 
 
 def large_n_warmup(seed: int) -> list[ScenarioSpec]:
+    """One lane of each HETERO-LAT kind at n = 16 and at n = 20."""
     base = _base(seed, _WARM)
-    return [hetero_lane(n, i, base + i) for n in (16, 20) for i in range(12)]
+    return [hetero_lane(n, i, base + i) for n in (16, 20) for i in range(6)]
 
 
 def small_spec(n: int, k: int, adversary: str, variant: int,
@@ -126,6 +127,11 @@ def small_n_warmup(seed: int) -> list[ScenarioSpec]:
 #: Open-loop submission rate of the served workload, per second — about
 #: 40% of what a ``--jobs 1 --slots 1`` daemon completes on a 2-vCPU host.
 SERVED_RATE = 7.0
+#: Every PROBE_EVERY-th gap of the served schedule is PROBE_GAP_S longer:
+#: a window, about once a second, in which the daemon has finished the
+#: work sent so far and the client can time a host-speed probe.
+PROBE_EVERY = 7
+PROBE_GAP_S = 0.25
 
 
 def served_submission(rng: random.Random, base: int) -> list[ScenarioSpec]:
@@ -149,12 +155,14 @@ def served(seed: int,
     """The open-loop schedule: due offsets (seconds from the schedule's
     start) and the scenarios of each submission.  Submissions are evenly
     spaced at :data:`SERVED_RATE` with a seeded jitter of a fifth of the
-    interval either way, so bursts never pile up faster than the rate."""
+    interval either way, so bursts never pile up faster than the rate,
+    plus a probe window before every :data:`PROBE_EVERY`-th one."""
     rng = random.Random(_base(seed, _SERVED))
     count = max(1, round(SERVED_RATE * seconds))
     due, subs = [], []
     for i in range(count):
-        due.append((i + rng.uniform(-0.2, 0.2)) / SERVED_RATE + 0.05)
+        due.append((i + rng.uniform(-0.2, 0.2)) / SERVED_RATE + 0.05
+                   + (i // PROBE_EVERY) * PROBE_GAP_S)
         subs.append(served_submission(rng, _base(seed, _SERVED) + 1000 * i))
     return due, subs
 

@@ -22,6 +22,7 @@ import os
 import platform
 import select
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -104,7 +105,7 @@ METRICS_BY_SPAN = {
 }
 
 #: Program start-ups per run; setup_s is their median.
-SETUPS = 3
+SETUPS = 5
 #: Every run must end well within the 180 s the caller allows.
 RUN_BUDGET_S = 170.0
 SELF_TEST_SECONDS = 1.0
@@ -133,39 +134,54 @@ class Lines:
         return json.loads(line)
 
 
-def run_child(cfg: dict, deadline: float) -> tuple[float, dict | None]:
-    """Start ``child.py``; returns (spawn-to-ready seconds, result)."""
+def run_child(cfg: dict, deadline: float) -> tuple[float, float, dict | None]:
+    """Start ``child.py`` and time it until it is ready; then take a
+    start-up probe, with the child exited (``setup`` mode) or idle on
+    its stdin until it is told to go on.  Returns (spawn-to-ready
+    seconds, probe, result or ``None``)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, os.path.join(HERE, "child.py"), json.dumps(cfg)],
-        stdout=subprocess.PIPE, env=common.program_env(),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        env=common.program_env(),
     )
     try:
         lines = Lines(proc)
         if lines.next(deadline).get("event") != "ready":
             raise RuntimeError("child spoke before it was ready")
         setup_s = time.perf_counter() - t0
-        result = lines.next(deadline) if cfg["mode"] == "run" else None
-        code = proc.wait(timeout=max(1.0, deadline - time.monotonic()))
-        if code != 0:
-            raise RuntimeError(f"child exited with {code}")
-        return setup_s, result
+        result = None
+        if cfg["mode"] == "setup":
+            proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+            probe = common.startup_probe()
+        else:
+            probe = common.startup_probe()
+            proc.stdin.write(b"go\n")
+            proc.stdin.flush()
+            result = lines.next(deadline)
+            proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+        if proc.returncode != 0:
+            raise RuntimeError(f"child exited with {proc.returncode}")
+        return setup_s, probe, result
     finally:
+        proc.stdin.close()
         proc.stdout.close()
         common.stop(proc)
 
 
 def child_session(workload, seed, seconds, traced, workdir, setups, deadline):
-    samples, setup_probes, result = [], [], None
+    """``setups`` start-ups of the program side, each between two
+    start-up probes; the last one goes on to the timed work."""
+    samples, setup_probes = [], [common.startup_probe()]
     for i in range(setups):
-        setup_probes.append(common.host_probe())
         cfg = {
             "workload": workload, "seed": seed, "seconds": seconds,
             "traced": traced, "workdir": os.path.join(workdir, f"c{i}"),
             "mode": "run" if i == setups - 1 else "setup",
         }
-        setup_s, result = run_child(cfg, deadline)
+        setup_s, probe, result = run_child(cfg, deadline)
         samples.append(setup_s)
+        setup_probes.append(probe)
     result["setup_samples"] = samples
     result["setup_probes"] = setup_probes
     return result
@@ -184,20 +200,19 @@ def session(workload, seed, seconds, tracer, workdir, setups, deadline):
 def end_to_end(r: dict, scaled: bool = True) -> dict:
     """The end-to-end metrics of one session, scaled to the reference
     host speed (``scaled=False``: as timed on this host).  Each set-up
-    is scaled by the probes taken just before and just after it."""
-    ref = common.PROBE_REFERENCE_S
-    before = r["setup_probes"]
-    after = before[1:] + r["probes"][:1]
+    is scaled by the start-up probes taken just before and after it."""
+    ref = common.STARTUP_REFERENCE_S
+    probes = r["setup_probes"]
     setups = [
-        s * (2 * ref / (b + a) if scaled else 1.0)
-        for s, b, a in zip(r["setup_samples"], before, after)
+        s * (2 * ref / (before + after) if scaled else 1.0)
+        for s, before, after in zip(r["setup_samples"], probes, probes[1:])
     ]
     tag = "_scaled" if scaled else ""
     return {
-        "setup_s": common.median(setups),
+        "setup_s": statistics.median(setups),
         "scenarios_per_s": (
             r["rate_scaled"] if scaled else r["report_ok"] / r["wall_s"]),
-        "resume_s": common.median(r[f"resume{tag}_s"]),
+        "resume_s": statistics.median(r[f"resume{tag}_s"]),
         "latency_p50_s": r[f"latency_p50{tag}_s"],
         "latency_p90_s": r[f"latency_p90{tag}_s"],
         "peak_rss_mb": r["peak_rss_mb"],
@@ -357,6 +372,10 @@ def self_test() -> int:
             for name, unit in names.items():
                 if got.get(name, {}).get("unit") != unit:
                     problems.append(f"{workload}: {name} missing or unit")
+        coverage = first["metrics"]["trace.coverage_pct"]["value"]
+        if coverage < 90.0:
+            problems.append(f"{workload}: layer self times cover only "
+                            f"{coverage:.1f}% of the measured wall")
         # No end-to-end metric may be read off another one's timer.
         seen: dict = {}
         for name, entry in plain["metrics"].items():

@@ -27,14 +27,15 @@ import common
 import grids
 
 #: No-op resubmissions of completed submissions (resume_s is their median).
-RESUBMISSIONS = 40
+RESUBMISSIONS = 30
 #: Every IDENTITY_EVERY-th submission is re-run in-process and its
 #: served summary compared byte for byte.
 IDENTITY_EVERY = 4
 #: Collector poll interval while the open loop runs (seconds).
 POLL_S = 0.05
-#: Seconds between host-speed probes during the open loop.
-PROBE_EVERY_S = 1.0
+#: Time a loop probe needs before the next due time: twice the probe's
+#: reference time, so a probe on a slow host does not delay a submission.
+PROBE_ROOM_S = 0.1
 
 
 def spawn_daemon(workdir: str, idx: int) -> tuple[subprocess.Popen, str]:
@@ -100,14 +101,16 @@ def session(seed: int, seconds: float, workdir: str, setups: int,
     os.makedirs(workdir, exist_ok=True)
     proc = None
     try:
-        setup_samples, setup_probes = [], []
+        # Each start-up lies between two start-up probes, taken with no
+        # daemon running or with the last one idle.
+        setup_samples, setup_probes = [], [common.startup_probe()]
         for idx in range(setups):
-            setup_probes.append(common.host_probe())
             proc, client, setup_s = start_daemon(seed, workdir, idx, deadline)
             setup_samples.append(setup_s)
             if idx < setups - 1:
                 common.stop(proc)
                 proc = None
+            setup_probes.append(common.startup_probe())
 
         due_offsets, subs = grids.served(seed, seconds)
         payloads = [
@@ -116,6 +119,10 @@ def session(seed: int, seconds: float, workdir: str, setups: int,
         ]
         records = [{} for _ in subs]
         handoff: queue.Queue = queue.Queue()
+        # How many submissions the collector is through with (finished
+        # and fetched); the daemon is idle when that is all sent ones.
+        collected = [0]
+        idle = threading.Condition()
 
         def call(op, name, fn, *args):
             if tracer is None:
@@ -126,36 +133,44 @@ def session(seed: int, seconds: float, workdir: str, setups: int,
             for i, rec in enumerate(records):
                 if handoff.get() is None:
                     return
-                if "id" not in rec:
-                    continue
-                try:
-                    rec["doc"] = call(i + 1, "bench.collect", wait_finished,
-                                      client, rec["id"], deadline, POLL_S)
-                    t = time.perf_counter()
-                    rec["text"] = call(i + 1, "bench.fetch",
-                                       client.results_text, rec["id"])
-                    rec["fetch_s"] = time.perf_counter() - t
-                except (ServiceError, TimeoutError) as exc:
-                    rec["error"] = str(exc)
+                if "id" in rec:
+                    try:
+                        rec["doc"] = call(i + 1, "bench.collect",
+                                          wait_finished, client, rec["id"],
+                                          deadline, POLL_S)
+                        t = time.perf_counter()
+                        rec["text"] = call(i + 1, "bench.fetch",
+                                           client.results_text, rec["id"])
+                        rec["fetch_s"] = time.perf_counter() - t
+                    except (ServiceError, TimeoutError) as exc:
+                        rec["error"] = str(exc)
+                with idle:
+                    collected[0] = i + 1
+                    idle.notify()
 
         # Host speed (see common.PROBE_REFERENCE_S) right after the last
-        # set-up, about once a second during the open loop — in the gap
-        # before a due time, when the daemon is usually idle — after the
-        # loop, and after the resubmissions.
+        # set-up, in each probe window of the open loop (grids.PROBE_GAP_S),
+        # after the loop, and after each resubmission.  A loop probe is
+        # taken only while the daemon is idle — every sent submission
+        # finished and fetched — with PROBE_ROOM_S left before the next
+        # due time, so the program's own load never slows a probe down.
         probes = [common.host_probe()]
         loop_probes = []
         pids = common.descendants(proc.pid)
         cpu0 = common.proc_cpu_s(pids)
         start = time.time() + 0.1
-        next_probe = start + PROBE_EVERY_S
         collector = threading.Thread(target=collect, name="collector")
         collector.start()
         try:
             for i, rec in enumerate(records):
                 due = start + due_offsets[i]
-                if time.time() >= next_probe and due - time.time() > 0.1:
-                    loop_probes.append(common.probe_once())
-                    next_probe += PROBE_EVERY_S
+                if i and i % grids.PROBE_EVERY == 0:
+                    with idle:
+                        quiet = idle.wait_for(
+                            lambda: collected[0] == i,
+                            max(0.0, due - PROBE_ROOM_S - time.time()))
+                    if quiet and due - time.time() > PROBE_ROOM_S:
+                        loop_probes.append(common.probe_once())
                 delay = due - time.time()
                 if delay > 0:
                     time.sleep(delay)
@@ -177,7 +192,13 @@ def session(seed: int, seconds: float, workdir: str, setups: int,
         cpu = common.cpu_delta(cpu0, common.proc_cpu_s(pids))
         probes.append(common.host_probe())
 
-        resume_walls, resume_failed = [], 0
+        # Each resubmission is short and the daemon idle between two, so
+        # a probe right after it (and the one before) follows the host's
+        # speed closely enough.
+        ref = common.PROBE_REFERENCE_S
+        resume_walls, resume_scaled, resume_probes = [], [], []
+        resume_failed = 0
+        before = probes[-1]
         rng = random.Random(seed)
         for _ in range(RESUBMISSIONS):
             i = rng.randrange(len(subs))
@@ -189,29 +210,32 @@ def session(seed: int, seconds: float, workdir: str, setups: int,
                 text = client.results_text(job["id"])
                 fetch = time.perf_counter() - t_fetch
             except (ServiceError, TimeoutError):
+                doc = None
+            after = common.probe_once()
+            if (doc is None or doc["state"] != "done"
+                    or text != records[i].get("text")):
                 resume_failed += 1
-                continue
-            if doc["state"] != "done" or text != records[i].get("text"):
-                resume_failed += 1
-                continue
-            resume_walls.append(doc["finished_at"] - t + fetch)
+            else:
+                wall = doc["finished_at"] - t + fetch
+                resume_walls.append(wall)
+                resume_scaled.append(wall * 2 * ref / (before + after))
+            resume_probes.append(after)
+            before = after
         if not resume_walls:
             raise RuntimeError("every no-op resubmission failed")
-        probes.append(common.host_probe())
         peak_rss = common.proc_peak_rss_mb(common.descendants(proc.pid))
         daemon_metrics = client.metrics() if tracer is not None else None
     finally:
         common.stop(proc)
-    ref = common.PROBE_REFERENCE_S
     loop = [probes[0], *loop_probes, probes[1]]
     result = summarize(subs, records, setup_samples, cpu,
                        ref * len(loop) / sum(loop), peak_rss,
                        daemon_metrics, seed)
     result["resume_s"] = resume_walls
-    result["resume_scaled_s"] = [
-        wall * 2 * ref / (probes[1] + probes[2]) for wall in resume_walls]
+    result["resume_scaled_s"] = resume_scaled
     result["probes"] = probes
     result["loop_probes"] = loop_probes
+    result["resume_probes"] = resume_probes
     result["checks"]["resubmissions_failed"] = resume_failed
     result["setup_probes"] = setup_probes
     return result
@@ -316,9 +340,15 @@ def layer_metrics(session_result: dict, tracer) -> tuple[dict, dict]:
             volatile = dict(snap["volatile"], info={})
             merged.merge({"deterministic": snap["deterministic"],
                           "volatile": volatile})
-    layers, counters = recorder_metrics(merged.snapshot())
+    snapshot = merged.snapshot()
+    layers, counters = recorder_metrics(snapshot)
+    daemon_run = snapshot["volatile"]["durations"].get(
+        "campaign.run_s", {}).get("total_s", 0.0)
+    # Covered: the service layer's own intervals (submit, queue, summary
+    # fetch) and, of each job's run, what the daemon's Campaign.run
+    # timed.  The generator's lateness and the rest of the run are not.
     measured = session_result["latency_sum_s"]
-    covered = lateness + submit + queue_s + run + results
+    covered = submit + queue_s + min(run, daemon_run) + results
     layers.update({
         "service.submit_s": submit,
         "service.queue_s": queue_s,
@@ -328,10 +358,5 @@ def layer_metrics(session_result: dict, tracer) -> tuple[dict, dict]:
         "campaign.run_s": measured,
         "trace.coverage_pct": 100.0 * covered / measured,
     })
-    daemon_run = merged.snapshot()["volatile"]["durations"].get(
-        "campaign.run_s", {})
-    extra = {
-        "daemon_campaign_run_s": daemon_run.get("total_s", 0.0),
-        "counters": counters,
-    }
+    extra = {"daemon_campaign_run_s": daemon_run, "counters": counters}
     return layers, extra
