@@ -15,10 +15,13 @@ and the fixed-iteration batched transitive closure).
 Backends:
 
 * ``"numpy"`` (default) — NumPy >= 2.0 is itself an Array-API namespace;
-  the extension ops keep the exact fused NumPy implementations the
-  kernel always used (``np.maximum.reduce(where=...)``, BLAS closure),
-  so results are **byte-identical** to the pre-injection kernel and the
-  overhead is one attribute indirection.
+  the extension ops are NumPy-specific fused kernels.  The sender-max
+  merge gathers each owner's ``PT_p`` label rows and max-reduces them,
+  so its cost scales with about ``nnz(PT)·n²`` instead of ``S·n⁴``; below
+  ``n = 16`` it keeps the fused ``np.maximum.reduce(where=...)``, which
+  measures faster there.  The closure is BLAS squaring.  Results are
+  **byte-identical** to the pre-injection kernel (an int32 max is exact
+  and order-independent).
 * ``"cupy"`` / ``"torch"`` — resolved only when the library is
   importable (never a hard dependency: this environment must run
   without them).  Schedules are still drawn on the host — RNG streams
@@ -80,6 +83,65 @@ _ALIASES = {
 # _MERGE_BUF_BYTES discipline).
 _GENERIC_MERGE_BYTES = 64 * 1024 * 1024
 
+# NumPy sender-max merge: the PT-sender gather from this width up, the
+# fused dense reduce below it.  Measured per call on a 2-vCPU Xeon with
+# NumPy 2.4, the gather's merge time over real HETERO-LAT batches is
+# 0.6x the dense one at n = 16/20 and 0.2x at n = 24..48, and it wins at
+# every PT density from n = 24; at n = 16..20 it loses only on 1-2 lane
+# batches whose PT rows are still half full or more (a lane's first
+# rounds), so a rule on max |PT_p| as well would save < 3% there.  Below
+# n = 16 the gather's per-call and per-row overhead makes it ~1.5x the
+# dense time on the n = 6..12 batches of 1-7 lanes a served campaign
+# runs and on n = 4..8 batches of 64.
+_GATHER_MIN_N = 16
+# Cap on one gather block of owners x max|PT_p| label rows (fastest of
+# 128 KiB..2 MiB on the same batches); a block is also never more than
+# one label tensor.
+_GATHER_BLOCK_BYTES = 256 * 1024
+
+
+def _gather_sender_max(labels, pt, out):
+    """NumPy sender-max merge in ``O(S·n·k·n²)`` for ``k = max |PT_p|``:
+    ``nnz(PT)·n²`` up to the padding of shorter sender lists.
+
+    Each owner's ``PT_p`` sender list is padded to ``k`` by repeating
+    its last sender (max is idempotent), so owner blocks gather as one
+    ``(owners, k, n²)`` take and reduce as one max over the sender
+    axis, straight into ``out``.  Owners with an empty
+    ``PT_p`` (padded owner slots) read 0.  The only temporaries are the
+    index arrays (``O(S·n·k)`` ints) and one gather block, never larger
+    than one label tensor and no larger than ``_GATHER_BLOCK_BYTES``
+    unless a single owner's ``k`` rows need more.  ``out`` must be
+    C-contiguous (the kernel's label buffers are).
+    """
+    S, n = labels.shape[0], labels.shape[1]
+    owners, cells = S * n, n * n
+    rows_in = labels.reshape(owners, cells)
+    rows_out = out.reshape(owners, cells)
+    counts = np.count_nonzero(pt, axis=2).reshape(owners)
+    k = int(counts.max())
+    if k == 0:
+        out.fill(0)
+        return out
+    flat = np.flatnonzero(pt)  # (s·n + p)·n + q, owner-major, q ascending
+    senders = flat // cells * n + flat % n  # label row s·n + q
+    first = np.cumsum(counts) - counts
+    # Empty owners point at some valid row; they are zeroed below.
+    last = np.maximum(first + counts - 1, 0)
+    table = senders[np.minimum(first[:, None] + np.arange(k), last[:, None])]
+    row_bytes = k * cells * labels.itemsize
+    block = max(1, min(owners // k, _GATHER_BLOCK_BYTES // row_bytes))
+    buf = np.empty((block, k, cells), dtype=labels.dtype)
+    for lo in range(0, owners, block):
+        hi = min(lo + block, owners)
+        gathered = buf[: hi - lo]
+        # mode="clip" writes ``out=`` unbuffered; every index is valid.
+        np.take(rows_in, table[lo:hi], axis=0, out=gathered, mode="clip")
+        np.max(gathered, axis=1, out=rows_out[lo:hi])
+    if not counts.all():
+        rows_out[counts == 0] = 0
+    return out
+
 
 class KernelNamespace:
     """One resolved array namespace plus the kernel's extension ops.
@@ -125,14 +187,20 @@ class KernelNamespace:
         labels of the senders in ``PT_p``.
 
         ``labels`` is ``(S, n, n, n)`` int32, ``pt`` is ``(S, n, n)``
-        bool; the result is ``(S, n, n, n)``.  NumPy keeps the fused
-        ``maximum.reduce(where=)`` over a broadcast view (no
-        ``(S, n, n, n, n)`` intermediate); generic namespaces fall back
-        to owner-chunked ``where`` + ``max``, returning a fresh array
-        (``out`` is only written on the NumPy path).
+        bool; the result is ``(S, n, n, n)``.  NumPy from ``n = 16`` up
+        gathers the ``PT_p`` senders' label rows and max-reduces them
+        into ``out`` (:func:`_gather_sender_max`), work proportional to
+        ``nnz(PT)·n²``; below ``n = 16`` it keeps the fused
+        ``maximum.reduce(where=)`` over a broadcast view (``S·n⁴``
+        cells, no ``(S, n, n, n, n)`` intermediate), which measures
+        faster there.  Generic namespaces fall back to owner-chunked
+        ``where`` + ``max``, returning a fresh array (``out`` is only
+        written on the NumPy path).
         """
         if self.is_numpy:
             S, n = labels.shape[0], labels.shape[1]
+            if n >= _GATHER_MIN_N:
+                return _gather_sender_max(labels, pt, out)
             np.maximum.reduce(
                 np.broadcast_to(labels[:, None], (S, n, n, n, n)),
                 axis=2,

@@ -451,7 +451,10 @@ def lane_bytes(n: int, max_rounds: int) -> int:
     squaring buffer, and the presence mask.  Under cross-``n`` packing
     ``n`` must be the *padded* batch width — a packed lane occupies the
     widest lane's slice regardless of its own nominal ``n`` (the
-    scheduler's ``estimate_batch_bytes`` builds on this)."""
+    scheduler's ``estimate_batch_bytes`` builds on this).  The sender-max
+    merge's gather block (at most one int32 label tensor) needs no term
+    of its own: it is live only during the merge, when the float32
+    closure buffers are not allocated."""
     if n < 1 or max_rounds < 1:
         raise ValueError("need n >= 1 and max_rounds >= 1")
     return (
@@ -768,10 +771,11 @@ def simulate_fastpath_batch(
                 dec_value[adopt] = est[adopt]
 
         # Lines 14-23: reset + fresh in-edges + max-merge over senders.
-        # The namespace's masked sender-max never materializes the full
-        # (S, n, n, n, n) product intermediate (NumPy runs the fused
-        # where-reduce into ``new_labels``; devices chunk it), which
-        # halves the traffic of the batch's one O(n^4)-per-lane kernel.
+        # On NumPy the merge gathers only the PT_p senders' label rows
+        # into ``new_labels``, so it costs nnz(PT)·n² per round rather
+        # than S·n⁴ (PT_p shrinks toward p's skeleton in-neighbourhood);
+        # below n = 16 it runs the fused dense where-reduce, which is
+        # faster there.  Devices chunk a dense where + max.
         new_labels = ns.masked_sender_max(labels, pt, new_labels)
         ss, ps, qs = xp.nonzero(pt)
         new_labels[ss, ps, qs, ps] = ns.from_host(r_loc)[ss]

@@ -160,6 +160,80 @@ class TestExtensionOps:
         )
 
 
+def _dense_sender_max(labels, pt):
+    """The fused dense merge, kept here as the reference expression."""
+    S, n = labels.shape[0], labels.shape[1]
+    return np.maximum.reduce(
+        np.broadcast_to(labels[:, None], (S, n, n, n, n)),
+        axis=2,
+        where=pt[:, :, :, None, None],
+        initial=0,
+    )
+
+
+def _pt_with_row_sizes(rng, S, n, sizes):
+    """``(S, n, n)`` PT masks whose owner rows cycle through ``sizes``
+    senders each (0 = an empty row, as for a padded owner slot with
+    ``enforce_self_delivery=False``)."""
+    pt = np.zeros((S, n, n), dtype=bool)
+    for s in range(S):
+        for p in range(n):
+            size = sizes[(s * n + p) % len(sizes)]
+            pt[s, p, rng.choice(n, size=size, replace=False)] = True
+    return pt
+
+
+class TestSparseSenderMax:
+    """The PT-sender gather merge against the fused dense reduce."""
+
+    @pytest.mark.parametrize("device", ["numpy", "strict"])
+    @pytest.mark.parametrize("n", [4, 12, 17, 32, 48])
+    @pytest.mark.parametrize("S", [1, 5, 12])
+    def test_matches_dense_reduce(self, S, n, device):
+        from repro.rounds.array_backend import _gather_sender_max
+
+        ns = resolve_namespace(device)
+        rng = np.random.default_rng(1000 * S + n)
+        labels = rng.integers(
+            0, np.iinfo(np.int32).max, size=(S, n, n, n), dtype=np.int32
+        )
+        cases = {
+            "empty": [0],
+            "one": [1],
+            "mixed": [0, 1, 2, max(1, n // 3), n],
+            "full": [n],
+        }
+        for name, sizes in cases.items():
+            pt = _pt_with_row_sizes(rng, S, n, sizes)
+            expected = _dense_sender_max(labels, pt)
+            for merge in (ns.masked_sender_max, _gather_sender_max):
+                out = np.full_like(labels, -7)
+                got = merge(labels, pt, out)
+                assert got is out, (name, merge)
+                assert np.array_equal(out, expected), (name, merge)
+
+    def test_one_call_stays_within_one_label_tensor(self):
+        # S = 12, n = 32, max |PT_p| = n/2: every temporary the merge
+        # allocates, together, fits in one (S, n, n, n) label tensor.
+        import tracemalloc
+
+        S, n = 12, 32
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 500, size=(S, n, n, n), dtype=np.int32)
+        pt = _pt_with_row_sizes(rng, S, n, [n // 2, 1, 3, 4])
+        out = np.empty_like(labels)
+        ns = resolve_namespace("numpy")
+        ns.masked_sender_max(labels, pt, out)  # warm any one-time caches
+        tracemalloc.start()
+        try:
+            ns.masked_sender_max(labels, pt, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= labels.nbytes, (peak, labels.nbytes)
+        assert np.array_equal(out, _dense_sender_max(labels, pt))
+
+
 def test_cli_rejects_unknown_device(tmp_path, capsys):
     from repro.cli import main
 

@@ -24,7 +24,12 @@ ways:
   execution-shape knobs: canonical lines equal across all three
   backends, journal bytes invariant under compaction on/off, batch
   shuffle, a degenerate ``--batch-memory`` envelope and
-  ``--jobs {1, 2, 4}``.
+  ``--jobs {1, 2, 4}``;
+* a **wide-lane grid** at ``n = 16/24/32``, where the NumPy merge
+  gathers only the ``PT_p`` senders: batched vs vectorized canonical
+  lines (the single-lane kernel keeps the dense merge, an independent
+  reference) and journal bytes under compaction on/off and a packed
+  24 -> 32 batch.
 
 ``scripts/smoke.sh`` additionally byte-compares whole campaign summaries
 produced by the three backends through the CLI on every change.
@@ -878,6 +883,106 @@ class TestCrossWidthPacking:
                 summary.read_bytes(),
             )
         assert blobs[False] == blobs[True]
+
+
+# ----------------------------------------------------------------------
+# Wide lanes: from n = 16 the NumPy merge gathers PT senders
+# ----------------------------------------------------------------------
+def _wide_grid() -> list[ScenarioSpec]:
+    """HETERO-style lanes at n = 16, 24 and 32, the widths at which the
+    batched kernel's NumPy merge gathers only the ``PT_p`` senders: per
+    width a noise sweep, a shrunk purge window and a no-prune lane that
+    runs to its full round budget.  n = 24 and 32 share one round
+    bucket, so ``pack_widths`` pads the n = 24 lanes to 32."""
+    specs: list[ScenarioSpec] = []
+    for n in (16, 24, 32):
+        for seed, noise in enumerate((0.0, 0.3)):
+            specs.append(
+                ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=noise)
+            )
+        specs.append(
+            ScenarioSpec(
+                n=n, k=2, num_groups=2, seed=2, noise=0.35,
+                options=(("purge_window", n // 2),),
+            )
+        )
+        specs.append(
+            ScenarioSpec(
+                n=n, k=2, num_groups=2, seed=3, noise=0.35,
+                options=(("prune_unreachable", False),),
+            )
+        )
+    return specs
+
+
+WIDE_GRID = _wide_grid()
+
+
+def _option_tasks(specs):
+    """Like :func:`_tasks`, but with each spec's purge/prune options."""
+    tasks = []
+    for spec, plain in zip(specs, _tasks(specs)):
+        options = dict(spec.options)
+        tasks.append(
+            FastPathTask(
+                adjacency=plain.adjacency,
+                initial_values=plain.initial_values,
+                purge_window=options.get("purge_window"),
+                prune_unreachable=options.get("prune_unreachable", True),
+                max_rounds=plain.max_rounds,
+            )
+        )
+    return tasks
+
+
+class TestWideLaneEquivalence:
+    """The gather merge is byte-identical to the dense merge of the
+    single-lane kernel, under compaction, width caps and packing."""
+
+    def test_batched_matches_vectorized(self):
+        batched = execute_scenarios(WIDE_GRID, backend=BACKEND_BATCHED)
+        for spec, result in zip(WIDE_GRID, batched):
+            assert result.status == "ok", result.error
+            assert canonical_line(result) == canonical_line(
+                execute_scenario_vectorized(spec)
+            ), spec
+
+    def test_packed_kernel_matches_singletons(self):
+        specs = [s for s in WIDE_GRID if s.n in (24, 32)]
+        expected = []
+        for task in _option_tasks(specs):
+            expected.append(_run_key(simulate_fastpath(
+                task.adjacency, list(task.initial_values),
+                purge_window=task.purge_window,
+                prune_unreachable=task.prune_unreachable,
+                max_rounds=task.max_rounds,
+            )))
+        for kwargs in ({}, {"width": 3}, {"width": 3, "compact": False}):
+            runs = simulate_fastpath_batch(_option_tasks(specs), **kwargs)
+            assert [_run_key(r) for r in runs] == expected, kwargs
+
+    def test_journal_bytes_invariant_under_compaction_and_packing(self):
+        from repro.engine.scheduler import plan_batches
+
+        # Packing plans the n = 24 lanes into the n = 32 batch.
+        plan = plan_batches(list(enumerate(WIDE_GRID)), pack_widths=True)
+        assert any(
+            batch.n == 32 and {spec.n for _, spec in batch.items} == {24, 32}
+            for batch in plan.batches
+        )
+        expected = [
+            journal_line(r)
+            for r in execute_scenarios(WIDE_GRID, backend=BACKEND_BATCHED)
+        ]
+        for kwargs in (
+            {"compact": False},
+            {"pack_widths": True},
+            {"pack_widths": True, "compact": False},
+        ):
+            results = execute_scenarios(
+                WIDE_GRID, backend=BACKEND_BATCHED, **kwargs
+            )
+            assert [journal_line(r) for r in results] == expected, kwargs
 
 
 class TestArrayNamespaceSubstitution:
