@@ -95,10 +95,11 @@ def record_fastpath():
     * ``median_packing_gain`` (schema 4) — cross-``n`` lane packing
       over the per-``n`` grouping (the PR-5 scheduler behavior), median
       across every group recording a ``packing_gain`` (the mixed-width
-      ensembles);
-    * ``median_steal_gain`` (schema 4) — work-stealing pool mode over
-      the throttled-but-no-steal pool on the same plan, median across
-      every group recording a ``steal_gain``.
+      ensembles).
+
+    Every write rebuilds all file-level ``median_*`` keys from the
+    current workload entries and drops any median that no entry feeds,
+    so a retired benchmark leg cannot leave a stale median behind.
     """
 
     def _record(
@@ -145,41 +146,33 @@ def record_fastpath():
         workloads[workload] = entry
         data.pop("host", None)  # legacy file-level host block
         data["schema"] = 5
-        data["median_speedup"] = round(
-            statistics.median(w["speedup"] for w in workloads.values()), 2
-        )
-        batched = [
-            w["speedup_batched"]
-            for w in workloads.values()
-            if "speedup_batched" in w
-        ]
-        if batched:
-            data["median_speedup_batched"] = round(
-                statistics.median(batched), 2
-            )
-        group_gains = [
-            g["speedup_vs_vectorized"]
-            for w in workloads.values()
-            for g in w.get("groups", ())
-            if "speedup_vs_vectorized" in g
-        ]
-        if group_gains:
-            data["median_batched_vs_vectorized"] = round(
-                statistics.median(group_gains), 2
-            )
-        for gain_key, file_key in (
-            ("compaction_gain", "median_compaction_gain"),
-            ("packing_gain", "median_packing_gain"),
-            ("steal_gain", "median_steal_gain"),
-        ):
-            gains = [
-                g[gain_key]
+
+        def group_values(key: str) -> list:
+            return [
+                g[key]
                 for w in workloads.values()
                 for g in w.get("groups", ())
-                if gain_key in g
+                if key in g
             ]
-            if gains:
-                data[file_key] = round(statistics.median(gains), 2)
+
+        medians = {
+            "median_speedup": [w["speedup"] for w in workloads.values()],
+            "median_speedup_batched": [
+                w["speedup_batched"]
+                for w in workloads.values()
+                if "speedup_batched" in w
+            ],
+            "median_batched_vs_vectorized": group_values(
+                "speedup_vs_vectorized"
+            ),
+            "median_compaction_gain": group_values("compaction_gain"),
+            "median_packing_gain": group_values("packing_gain"),
+        }
+        for key in [k for k in data if k.startswith("median_")]:
+            del data[key]
+        for key, values in medians.items():
+            if values:
+                data[key] = round(statistics.median(values), 2)
         BENCH_FASTPATH_PATH.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )

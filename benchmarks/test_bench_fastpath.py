@@ -23,6 +23,8 @@ from __future__ import annotations
 import statistics
 import time
 
+from bench_timing import interleaved_best
+
 from repro.analysis.reporting import format_table
 from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec, termination_grid
@@ -350,47 +352,6 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
     )
 
 
-def _interleaved_best(
-    fns,
-    pairs,
-    min_repeats: int = 7,
-    max_repeats: int = 60,
-    converge: float = 0.015,
-) -> tuple[list[float], bool]:
-    """Best-of wall-clock per candidate with *interleaved* repeats.
-
-    Interleaving means slow drift (thermal throttling, background load)
-    hits every candidate in the same round, and the in-round order
-    rotates each round so no candidate systematically rides a
-    periodic-load pattern; the per-candidate minimum is the floor
-    estimator.  Each ``(i, j)`` in ``pairs`` names two candidates
-    running the *same* workload (an A/A pair): rounds continue past
-    ``min_repeats`` until every pair's minima agree within ``converge``,
-    so ratios between floors measure code, not scheduler luck — per-run
-    noise on a loaded box runs several percent, while the floors of
-    identical code converge given enough samples (minima only ever
-    improve).  Returns ``(floors, converged)``; a ``False`` flag means
-    the box was too noisy to resolve ``converge`` within
-    ``max_repeats`` rounds."""
-    best = [float("inf")] * len(fns)
-    for fn in fns:  # warm caches/allocators outside the timed rounds
-        fn()
-    converged = False
-    for r in range(max_repeats):
-        for i in range(len(fns)):
-            j = (i + r) % len(fns)
-            t0 = time.perf_counter()
-            fns[j]()
-            best[j] = min(best[j], time.perf_counter() - t0)
-        converged = r + 1 >= min_repeats and all(
-            max(best[i], best[j]) / min(best[i], best[j]) - 1 < converge
-            for i, j in pairs
-        )
-        if converged:
-            break
-    return best, converged
-
-
 def test_bench_telemetry_overhead(benchmark, emit, record_telemetry):
     """TELEMETRY: the recorder must be zero-cost when off.
 
@@ -417,7 +378,7 @@ def test_bench_telemetry_overhead(benchmark, emit, record_telemetry):
         execute_scenarios(specs, backend="batched", recorder=Recorder())
 
     (off_a, off_b, on_a, on_b), converged = benchmark.pedantic(
-        lambda: _interleaved_best(
+        lambda: interleaved_best(
             [_off, _off, _on, _on], pairs=[(0, 1), (2, 3)]
         ),
         rounds=1,
@@ -497,7 +458,7 @@ def test_bench_contracts_overhead(benchmark, emit, record_contracts):
             execute_scenarios(specs, backend="batched")
 
     (off_a, off_b, on_s), converged = benchmark.pedantic(
-        lambda: _interleaved_best([_off, _off, _on], pairs=[(0, 1)]),
+        lambda: interleaved_best([_off, _off, _on], pairs=[(0, 1)]),
         rounds=1,
         iterations=1,
     )
@@ -585,20 +546,15 @@ PACKED_HEADERS = [
     "pr5_ms",
     "packed_ms",
     "packing",
-    "steal",
 ]
 
 
 def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
-    """PACKED-MIX: cross-n packing + work stealing vs the PR-5 scheduler.
+    """PACKED-MIX: cross-n packing vs the PR-5 scheduler.
 
     Each group is timed through the identical executor twice — per-``n``
     grouping (the PR-5 plan) vs ``pack_widths`` — with journal bytes
-    asserted identical first.  The steal column is the pooled leg on the
-    packed plan (jobs=2, steal on vs off): on a multi-core host stealing
-    shortens skewed tails; on a single-core host it is granularity
-    insurance and the ratio sits near 1.0 — recorded either way, never
-    floor-gated (the packing gain carries the speedup criterion).
+    asserted identical first.
     """
     groups = _mixed_width_specs()
 
@@ -639,7 +595,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                     round(pr5_s * 1e3, 1),
                     round(packed_s * 1e3, 1),
                     round(pr5_s / packed_s, 2),
-                    "-",
                 ]
             )
             entries.append(
@@ -659,44 +614,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             total_pr5 += pr5_s
             total_packed += packed_s
             total_n += len(specs)
-        # The pooled steal leg: one skewed packed plan across two
-        # workers, steal off vs on (identical journal bytes asserted by
-        # the differential suite; here only the wall-clocks differ).
-        steal_specs = [
-            spec
-            for _, specs in groups
-            for spec in specs
-        ] + [
-            ScenarioSpec(n=7, k=2, num_groups=2, seed=s, noise=0.35)
-            for s in range(8)
-        ]
-        pool_kw = dict(backend="batched", pack_widths=True, jobs=2)
-        nosteal_s = _best_of(
-            lambda: execute_scenarios(steal_specs, **pool_kw), repeats=3
-        )
-        steal_s = _best_of(
-            lambda: execute_scenarios(steal_specs, steal=True, **pool_kw),
-            repeats=3,
-        )
-        entries.append(
-            {
-                "group": "pool jobs=2",
-                "scenarios": len(steal_specs),
-                "pool_nosteal_s": round(nosteal_s, 4),
-                "pool_steal_s": round(steal_s, 4),
-                "steal_gain": round(nosteal_s / steal_s, 2),
-            }
-        )
-        rows.append(
-            [
-                "pool jobs=2",
-                len(steal_specs),
-                round(nosteal_s * 1e3, 1),
-                round(steal_s * 1e3, 1),
-                "-",
-                round(nosteal_s / steal_s, 2),
-            ]
-        )
         rows.append(
             [
                 "total",
@@ -704,7 +621,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                 round(total_pr5 * 1e3, 1),
                 round(total_packed * 1e3, 1),
                 round(total_pr5 / total_packed, 2),
-                "-",
             ]
         )
         totals = (total_ref, total_vect, total_pr5, total_packed, total_n)
@@ -733,9 +649,6 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             "packing_gain": round(total_pr5 / total_packed, 2),
             "packing_baseline": "batched with per-n grouping (the PR-5 "
             "scheduler behavior)",
-            "steal_baseline": "pool jobs=2 on the packed plan with "
-            "steal off (throttled dispatch either way); single-core "
-            "hosts show ~1.0",
             "groups": entries,
         },
     )
@@ -744,8 +657,8 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             PACKED_HEADERS,
             rows,
             title="FASTPATH-PACKED — cross-n packing vs per-n grouping "
-            "on sparse mixed-width ensembles, plus the pooled "
-            "steal leg (identical journal bytes asserted first)",
+            "on sparse mixed-width ensembles (identical journal bytes "
+            "asserted first)",
         )
     )
 

@@ -12,8 +12,8 @@
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
 # reference run.
-# A mixed-n packed leg (--pack-widths --steal --jobs 4) byte-compares
-# journal and summary against the serial unpacked batched run.
+# A mixed-n packed leg (--pack-widths --jobs 4) byte-compares journal
+# and summary against the serial unpacked batched run.
 # A final telemetry leg records a --metrics sidecar (schema-validated,
 # all four engine sections non-zero) and byte-compares the journal
 # against a metrics-off run.
@@ -180,23 +180,23 @@ cmp "$workdir/het_ref_summary.jsonl" "$workdir/het_sched_summary.jsonl"
 echo "scheduler-planned parallel run byte-matches serial reference: OK"
 
 echo
-echo "== cross-n packing + work stealing: mixed-n packed leg (--jobs 4) =="
+echo "== cross-n packing: mixed-n packed leg (--jobs 4) =="
 # A mixed-n grid (n=4..7 share one round bucket) runs as one padded
-# tensor program under --pack-widths, split and stolen across four
-# workers — journal records and summary must byte-match the serial
-# unpacked (PR-5 style) batched run.
+# tensor group under --pack-widths, cut into batches for four workers —
+# journal records and summary must byte-match the serial unpacked
+# batched run.
 pack_grid=(-n 4 5 6 7 -k 2 --seeds 3 --noise 0.0 0.3)
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
     --store "$workdir/pack_serial.jsonl" \
     --summary "$workdir/pack_serial_summary.jsonl" > /dev/null
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
-    --pack-widths --steal --jobs 4 \
-    --store "$workdir/pack_stolen.jsonl" \
-    --summary "$workdir/pack_stolen_summary.jsonl" > /dev/null
-cmp "$workdir/pack_serial_summary.jsonl" "$workdir/pack_stolen_summary.jsonl"
+    --pack-widths --jobs 4 \
+    --store "$workdir/pack_pooled.jsonl" \
+    --summary "$workdir/pack_pooled_summary.jsonl" > /dev/null
+cmp "$workdir/pack_serial_summary.jsonl" "$workdir/pack_pooled_summary.jsonl"
 diff <(sort "$workdir/pack_serial.jsonl") \
-     <(sort "$workdir/pack_stolen.jsonl")
-echo "packed+stolen journal bytes match serial unpacked: OK"
+     <(sort "$workdir/pack_pooled.jsonl")
+echo "packed pooled journal bytes match serial unpacked: OK"
 
 echo
 echo "== store-native aggregation: percentile table from the journal =="
@@ -328,10 +328,11 @@ echo "daemon leg (fuzz + latency served, clean SIGTERM drain): OK"
 echo
 echo "== distributed execution: 2 remote workers vs serial, byte-compared =="
 # Boot two `repro worker --listen` processes on ephemeral ports, ship the
-# heterogeneous-latency family to them with `campaign run --workers`, and
-# require the shard-merged journal AND summary to be byte-identical to
-# the serial single-host run — then SIGTERM both workers and require
-# clean (exit 0) shutdowns.
+# heterogeneous-latency family to them with `campaign run --workers`
+# (planned like a two-job pool: one batch per worker), and require the
+# shard-merged journal AND summary to be byte-identical to the serial
+# single-host run — then SIGTERM both workers and require clean (exit 0)
+# shutdowns.
 dist_args=(--family latency -n 5 6 --seeds 2 --noise 0.0 0.4)
 python -m repro campaign run "${dist_args[@]}" --jobs 1 \
     --store "$workdir/dist_serial.jsonl" \

@@ -30,14 +30,9 @@ default ``<store>.metrics.json``; journals and summaries are
 byte-identical with metrics on or off).  ``campaign report
 --metrics`` renders a recorded sidecar as a table.
 
-Execution-shape flags (byte-identical journals either way):
+Execution-shape flag (byte-identical journals either way):
 ``--pack-widths`` packs mixed-``n`` scenarios into shared padded
-tensor batches, ``--steal`` lets idle pool workers split oversized
-planned batches at deterministic lane boundaries, and ``--device
-{numpy,cupy,torch,strict}`` selects the array namespace the batched
-kernel runs on (GPU devices require the optional library to be
-installed; ``strict`` is a test namespace that rejects any
-non-Array-API-standard call).
+tensor batches.
 
 Hardening flags (same sharing): ``--contracts`` arms the runtime
 contract layer (:mod:`repro.engine.contracts` — sampled re-derive-and-
@@ -81,7 +76,6 @@ from repro.analysis.reporting import format_table
 from repro.analysis.stats import decision_stats
 from repro.graphs.condensation import root_components
 from repro.predicates.psrcs import Psrcs
-from repro.rounds.array_backend import DeviceUnavailableError
 
 
 # ----------------------------------------------------------------------
@@ -156,19 +150,12 @@ def _metrics_recorder(args: argparse.Namespace):
 
 
 def _apply_hardening(args: argparse.Namespace) -> None:
-    """Arm the opt-in hardening/device layers before any worker spawns.
+    """Arm the opt-in hardening layers before any worker spawns.
 
     All of these set process environment variables, so pool workers
     (fork or spawn) inherit the configuration without any extra
     plumbing.
     """
-    device = getattr(args, "device", None)
-    if device is not None:
-        from repro.rounds.array_backend import activate_device
-
-        # Resolves eagerly: a missing optional library (CuPy/torch)
-        # fails here at the CLI boundary, not mid-campaign in a worker.
-        activate_device(device)
     if getattr(args, "contracts", False):
         from repro.engine import contracts
 
@@ -211,12 +198,11 @@ def _run_family_command(name: str, args: argparse.Namespace) -> int:
             backend=getattr(args, "backend", None),
             batch_memory=_batch_memory_bytes(args),
             pack_widths=getattr(args, "pack_widths", False),
-            steal=getattr(args, "steal", False),
             max_retries=getattr(args, "max_retries", 0) or 0,
         )
         recorder, metrics_path = _metrics_recorder(args)
         _apply_hardening(args)
-    except (KeyError, ValueError, DeviceUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         print(_errmsg(exc))
         return 2
     campaign.run(progress=_progress_enabled(args), recorder=recorder)
@@ -279,23 +265,6 @@ def _add_scheduler_args(p: argparse.ArgumentParser) -> None:
         "mixed-n scenarios into one padded tensor program per round "
         "bucket instead of one group per n (packing only: journals and "
         "summaries are byte-identical either way)",
-    )
-    p.add_argument(
-        "--steal",
-        action="store_true",
-        help="work-stealing pool mode (with --jobs > 1): idle workers "
-        "steal deterministic halves of oversized planned batches, "
-        "keeping tails short on skewed ensembles (execution shape only: "
-        "journals and summaries are byte-identical either way)",
-    )
-    p.add_argument(
-        "--device",
-        default=None,
-        metavar="DEV",
-        help="array namespace for the batched kernel: numpy/cpu "
-        "(default), cupy/cuda or torch when installed, or strict (a "
-        "test namespace enforcing Array-API-standard calls); results "
-        "are byte-identical across devices",
     )
     p.add_argument(
         "--progress",
@@ -479,7 +448,6 @@ def _campaign_from_args(args: argparse.Namespace):
             backend=getattr(args, "backend", None),
             batch_memory=_batch_memory_bytes(args),
             pack_widths=getattr(args, "pack_widths", False),
-            steal=getattr(args, "steal", False),
             max_retries=getattr(args, "max_retries", 0) or 0,
         )
     grid = _grid_from_args(args)
@@ -491,7 +459,6 @@ def _campaign_from_args(args: argparse.Namespace):
         backend=getattr(args, "backend", None) or "reference",
         batch_memory=_batch_memory_bytes(args),
         pack_widths=getattr(args, "pack_widths", False),
-        steal=getattr(args, "steal", False),
         label="grid",
         max_retries=getattr(args, "max_retries", 0) or 0,
     )
@@ -557,7 +524,6 @@ def _daemon_submission(args: argparse.Namespace) -> dict:
         "backend": getattr(args, "backend", None),
         "batch_memory": _batch_memory_bytes(args),
         "pack_widths": getattr(args, "pack_widths", False),
-        "steal": getattr(args, "steal", False),
         "max_retries": getattr(args, "max_retries", 0) or 0,
         "timeout": getattr(args, "timeout", None),
         "resume": not getattr(args, "no_resume", False),
@@ -709,7 +675,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         campaign = _campaign_from_args(args)
         recorder, metrics_path = _metrics_recorder(args)
         _apply_hardening(args)
-    except (KeyError, ValueError, DeviceUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         print(_errmsg(exc))
         return 2
 
@@ -894,7 +860,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
     try:
         _apply_hardening(args)
-    except (ValueError, DeviceUnavailableError) as exc:
+    except ValueError as exc:
         print(_errmsg(exc))
         return 2
     spool = args.spool
@@ -1147,10 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-metrics", action="store_true",
                          help="disable per-campaign telemetry recorders "
                          "(journal bytes are identical either way)")
-    p_serve.add_argument(
-        "--device", default=None, metavar="DEV",
-        help="array namespace for the batched kernel (see campaign run)",
-    )
     p_serve.add_argument(
         "--contracts", action="store_true",
         help="arm the runtime contract layer before the pool spawns, so "

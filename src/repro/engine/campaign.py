@@ -213,12 +213,6 @@ class Campaign:
         program per round bucket (see
         :func:`repro.engine.scheduler.plan_batches`).  Pure packing
         knob — journals and summaries are byte-identical either way.
-    steal:
-        Work-stealing pool mode: idle workers steal deterministic
-        halves of oversized planned batches (see
-        :func:`~repro.engine.executor.execute_scenarios`).  Pure
-        execution-shape knob — journals and summaries are
-        byte-identical either way.
     label:
         Human name for progress reporting (the experiment family name
         when the campaign was built by the registry).
@@ -239,7 +233,6 @@ class Campaign:
         backend: str = "reference",
         batch_memory: int | None = None,
         pack_widths: bool = False,
-        steal: bool = False,
         label: str | None = None,
         max_retries: int = 0,
         workers: Sequence[str] | None = None,
@@ -259,7 +252,6 @@ class Campaign:
         self.backend = backend
         self.batch_memory = batch_memory
         self.pack_widths = pack_widths
-        self.steal = steal
         self.label = label
         self.max_retries = max_retries
         self.workers = list(workers) if workers else None
@@ -326,11 +318,12 @@ class Campaign:
         ``workers`` (or the constructor's default) selects *distributed*
         execution: a list of remote worker endpoints (see
         :func:`repro.engine.remote.parse_workers`) the planned batches
-        ship to, instead of a local pool.  The plan is computed with
-        ``jobs=1`` and results are shard-merged back in plan order, so
-        journal and summary bytes are identical to a serial single-host
-        run; on resume, orphaned per-worker shard files from a crashed
-        coordinator are folded into the journal first.
+        ship to, instead of a local pool.  The plan is cut as for a pool
+        with one job per worker, and results are shard-merged back in
+        plan order, so journal and summary bytes are identical to a
+        serial single-host run; on resume, orphaned per-worker shard
+        files from a crashed coordinator are folded into the journal
+        first.
         """
         rec = NULL if recorder is None else recorder
         resolved_workers = self.workers if workers is None else workers
@@ -368,15 +361,19 @@ class Campaign:
         if todo and resolved_backend in ("batched", "auto"):
             from repro.engine.scheduler import plan_batches
 
-            # Remote runs plan with jobs=1: the plan is a pure function
-            # of the work list, so the jobs=1 plan — and hence the
-            # journal order — matches the serial single-host run
-            # byte-for-byte; fleet parallelism comes from deterministic
-            # batch pre-splitting inside the remote dispatcher.
+            # A fleet is planned like a pool of that many jobs: the jobs
+            # count only decides where groups are cut, never the item
+            # order, so the journal order matches the serial run.
+            if resolved_workers:
+                from repro.engine.remote import parse_workers
+
+                plan_jobs = len(parse_workers(resolved_workers))
+            else:
+                plan_jobs = max(1, resolved_jobs)
             plan = plan_batches(
                 list(enumerate(todo)),
                 self.batch_memory,
-                jobs=1 if resolved_workers else max(1, resolved_jobs),
+                jobs=plan_jobs,
                 pack_widths=self.pack_widths,
                 recorder=rec,
             )
@@ -433,7 +430,6 @@ class Campaign:
                     backend=resolved_backend,
                     batch_memory=self.batch_memory,
                     pack_widths=self.pack_widths,
-                    steal=self.steal,
                     plan=plan,
                     recorder=rec if rec else None,
                     max_retries=(
@@ -523,7 +519,6 @@ def run_campaign(
     backend: str = "reference",
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
 ) -> list[ScenarioResult]:
     """One-shot convenience: run (resuming) and return grid-ordered
     results.  The workhorse behind the refactored sweeps and benchmarks."""
@@ -535,7 +530,6 @@ def run_campaign(
         backend=backend,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
     )
     campaign.run(resume=resume)
     return campaign.completed_results()

@@ -117,9 +117,6 @@ class NullContracts:
     def check_plan(self, plan, replan, context=None) -> None:
         pass
 
-    def check_split_partition(self, batch, halves, context=None) -> None:
-        pass
-
     def check_lane_identity(self, expected, actual, context=None) -> None:
         pass
 
@@ -225,41 +222,6 @@ class Contracts:
                     "replan": getattr(
                         again, "describe", lambda: repr(again)
                     )(),
-                    **(context or {}),
-                },
-            )
-
-    def check_split_partition(
-        self,
-        batch: Any,
-        halves: tuple,
-        context: dict | None = None,
-    ) -> None:
-        """Steal-split partition purity: cutting a planned batch must
-        exactly partition its lane list (order preserved, nothing
-        duplicated or dropped) while both halves keep the parent's
-        tensor width and kernel envelope.  This is the invariant that
-        keeps work stealing out of journal bytes: every lane still runs
-        its exact per-scenario program, just on a different worker."""
-        self.checks += 1
-        rejoined = tuple(item for half in halves for item in half.items)
-        same_shape = all(
-            half.n == batch.n
-            and half.bucket == batch.bucket
-            and half.width == batch.width
-            and half.lanes >= 1
-            for half in halves
-        )
-        if rejoined != tuple(batch.items) or not same_shape:
-            self._raise(
-                "executor.steal_split_partition",
-                "splitting a planned batch did not partition its lanes "
-                "(or changed the tensor envelope)",
-                {
-                    "batch_lanes": batch.lanes,
-                    "half_lanes": [half.lanes for half in halves],
-                    "n": batch.n,
-                    "bucket": batch.bucket,
                     **(context or {}),
                 },
             )

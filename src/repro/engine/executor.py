@@ -566,7 +566,6 @@ def execute_scenarios(
     batch_memory: int | None = None,
     compact: bool = True,
     pack_widths: bool = False,
-    steal: bool = False,
     plan=None,
     recorder=None,
     max_retries: int = 0,
@@ -618,18 +617,6 @@ def execute_scenarios(
         one padded tensor program per round bucket — see
         :func:`repro.engine.scheduler.plan_batches`.  A pure packing
         knob: results and journal bytes are identical either way.
-    steal:
-        Work-stealing pool mode (pool path, batched/auto backends).
-        The parent throttles dispatch to one in-flight unit per worker
-        and keeps the rest queued; whenever the ready backlog is
-        thinner than the pool, the largest queued planned batch is cut
-        in half at its deterministic midpoint
-        (:func:`repro.engine.scheduler.split_planned`) so idle workers
-        steal the tail of oversized batches instead of draining out.
-        Split points are a pure function of the plan and batched
-        results are tagged by backend, never by grouping — journal
-        bytes and the deterministic telemetry plane are steal-invariant
-        (the differential suite pins this).
     plan:
         A precomputed :class:`~repro.engine.scheduler.BatchPlan` for
         exactly this work list (the campaign layer passes the plan its
@@ -745,48 +732,6 @@ def execute_scenarios(
             indexed, chunksize or default_chunksize(len(indexed), jobs)
         ):
             units.append((chunk, (_execute_chunk, chunk, backend) + collect))
-    steal = steal and backend in ("batched", "auto")
-    steal_splits = 0
-
-    def _split_unit(call) -> list[tuple[list[IndexedSpec], tuple]]:
-        # Halve one planned batch at the deterministic midpoint; the
-        # halves inherit the call's backend/compact/collect tail.
-        from repro.engine.scheduler import split_planned
-
-        nonlocal steal_splits
-        steal_splits += 1
-        halves = split_planned(call[1])
-        active_contracts = _get_contracts()
-        if active_contracts and active_contracts.sample("steal_split"):
-            active_contracts.check_split_partition(
-                call[1], halves, context={"backend": backend}
-            )
-        return [
-            (list(half.items), (_execute_planned, half) + call[2:])
-            for half in halves
-        ]
-
-    def _largest_splittable(entries, unit_of) -> int | None:
-        from repro.engine.scheduler import can_split
-
-        best = None
-        best_lanes = 0
-        for i, entry in enumerate(entries):
-            call = unit_of(entry)
-            if call[0] is _execute_planned and can_split(call[1]):
-                if call[1].lanes > best_lanes:
-                    best, best_lanes = i, call[1].lanes
-        return best
-
-    if steal:
-        # Pre-split so the pool is never narrower than jobs just
-        # because the plan produced few (large) batches.
-        while len(units) < jobs:
-            i = _largest_splittable(units, lambda entry: entry[1])
-            if i is None:
-                break
-            call = units.pop(i)[1]
-            units[i:i] = _split_unit(call)
     workers = min(jobs, len(units))
     collected: dict[int, ScenarioResult] = {}
     # pid -> [units, busy_s]; feeds the per-worker utilization info.
@@ -963,34 +908,10 @@ def execute_scenarios(
                     queue = []
                 progressed = True
             if not pool_dead and queue:
-                if steal:
-                    # Steal: keep the backlog deep enough that no
-                    # worker can go idle behind one oversized batch —
-                    # cut the largest queued planned batch in half
-                    # (deterministic midpoint) until there are at least
-                    # two units per worker in the system or nothing
-                    # splittable is left.
-                    while len(queue) + len(pending) < 2 * workers:
-                        i = _largest_splittable(
-                            queue, lambda entry: entry[1]
-                        )
-                        if i is None:
-                            break
-                        items, call, attempts, not_before = queue.pop(i)
-                        queue[i:i] = [
-                            [half_items, half_call, attempts, not_before]
-                            for half_items, half_call in _split_unit(call)
-                        ]
                 waiting = []
                 for entry in queue:
                     items, call, attempts, not_before = entry
-                    # Throttled dispatch under steal: one in-flight unit
-                    # per worker, the rest stay here where they can
-                    # still be split.  Eager dispatch otherwise.
-                    if pool_dead or not (
-                        not_before <= now
-                        and (not steal or len(pending) < workers)
-                    ):
+                    if pool_dead or not_before > now:
                         waiting.append(entry)
                         continue
                     submit_gen = pool.generation
@@ -1101,12 +1022,6 @@ def execute_scenarios(
         )
     if recorder:
         recorder.vinc("executor.units_dispatched", len(units))
-        if steal_splits:
-            # One split turns one queued batch into two stealable
-            # halves.  Volatile plane: how often stealing kicked in is
-            # pure execution shape (jobs, timing), never results.
-            recorder.vinc("executor.steal_splits", steal_splits)
-            recorder.vinc("executor.batches_stolen", 2 * steal_splits)
         recorder.vgauge_max("executor.pool_workers", workers)
         wall = time.monotonic() - start
         if worker_stats:

@@ -307,7 +307,6 @@ def family_campaign(
     backend: str | None = None,
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
     max_retries: int = 0,
 ):
     """A :class:`~repro.engine.campaign.Campaign` over a family's grid.
@@ -330,7 +329,6 @@ def family_campaign(
         backend=resolved,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
         label=family.name,
         max_retries=max_retries,
     )
@@ -345,7 +343,6 @@ def run_family(
     backend: str | None = None,
     batch_memory: int | None = None,
     pack_widths: bool = False,
-    steal: bool = False,
     max_retries: int = 0,
 ) -> list[ScenarioResult]:
     """One-shot: run (resuming) a family campaign, return grid-ordered
@@ -359,7 +356,6 @@ def run_family(
         backend=backend,
         batch_memory=batch_memory,
         pack_widths=pack_widths,
-        steal=steal,
         max_retries=max_retries,
     )
     campaign.run()

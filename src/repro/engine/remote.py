@@ -21,7 +21,7 @@ worker over ssh with ``--connect`` back to the coordinator) is a drop-in:
   ``repro worker --connect host:port``.
 
 Protocol (coordinator → worker): ``setup`` (shipped environment —
-contracts / fault plan / device — and the metrics-collect flag), then
+contracts and fault plan — and the metrics-collect flag), then
 ``unit`` messages (a whole planned batch, or an order-chunk for plan
 singles and non-batched backends), then ``shutdown``.  Worker →
 coordinator: ``hello`` on connect, then one ``result`` or ``error`` per
@@ -34,12 +34,11 @@ Determinism
 The journal-byte contract every prior speed PR preserved holds here by
 construction:
 
-* the coordinator plans with ``jobs=1`` — the scheduler's plan is a pure
-  function of the work list, so the plan (and hence the canonical
-  journal order) is identical to the serial single-host plan; fleet
-  parallelism is recovered by pre-splitting large batches at their
-  deterministic midpoints (:func:`~repro.engine.scheduler.split_planned`),
-  which preserves plan-order coverage;
+* the coordinator plans with ``jobs`` = the fleet size, exactly as the
+  pool plans with its worker count: the jobs count only decides where
+  a group of batch-compatible scenarios is cut into batches, never the
+  order of the scenarios across the plan, so the canonical journal
+  order is the serial single-host order;
 * result records are a pure function of the spec (backend provenance
   included), so *where* a unit ran never changes its bytes;
 * a :class:`ShardMerger` holds completed results back until every
@@ -94,15 +93,14 @@ from repro.engine.executor import (
 from repro.engine.faults import FAULTS_ENV
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.store import decode_result, journal_record
-from repro.rounds.array_backend import DEVICE_ENV
 
 PROTOCOL = 1
 
 #: Environment the coordinator ships to every worker at session setup so
-#: hardening drills (contracts, fault plans) and device selection behave
-#: as if the worker were a local pool process.  Keys absent on the
-#: coordinator are *removed* on the worker, keeping sessions hermetic.
-SHIPPED_ENV = (CONTRACTS_ENV, FAULTS_ENV, DEVICE_ENV)
+#: hardening drills (contracts, fault plans) behave as if the worker
+#: were a local pool process.  Keys absent on the coordinator are
+#: *removed* on the worker, keeping sessions hermetic.
+SHIPPED_ENV = (CONTRACTS_ENV, FAULTS_ENV)
 
 #: Budget for establishing each worker link at startup (dial retries /
 #: accept wait), and for the worker's hello after the socket opens.
@@ -709,11 +707,9 @@ def _plan_units(
     """The dispatch units, in canonical plan order.
 
     Batched/auto backends ship whole planned batches (planned with
-    ``jobs=1`` so the plan — and the journal order — matches the serial
-    single-host run exactly); plan singles and other backends ship as
-    contiguous order-chunks.  Large batches are pre-split at their
-    deterministic midpoints until the fleet has work for every worker —
-    splits replace a unit in place, so plan-order coverage is preserved.
+    ``jobs=fleet``, which cuts large groups as for a pool of that many
+    jobs and keeps the serial run's item order); plan singles and other
+    backends ship as contiguous order-chunks.
     """
     units: list[_Unit] = []
     if backend in ("batched", "auto"):
@@ -723,7 +719,7 @@ def _plan_units(
             plan = plan_batches(
                 indexed,
                 batch_memory=batch_memory,
-                jobs=1,
+                jobs=fleet,
                 pack_widths=pack_widths,
                 recorder=recorder,
             )
@@ -740,23 +736,6 @@ def _plan_units(
         size = chunksize or default_chunksize(len(indexed), fleet)
         for i in range(0, len(indexed), size):
             units.append(_Unit(kind="chunk", items=indexed[i:i + size]))
-
-    from repro.engine.scheduler import can_split, split_planned
-
-    while len(units) < fleet:
-        best = None
-        best_lanes = 0
-        for i, unit in enumerate(units):
-            if unit.kind == "batch" and can_split(unit.batch):
-                if unit.batch.lanes > best_lanes:
-                    best, best_lanes = i, unit.batch.lanes
-        if best is None:
-            break
-        halves = split_planned(units[best].batch)
-        units[best:best + 1] = [
-            _Unit(kind="batch", items=list(half.items), batch=half)
-            for half in halves
-        ]
     return units
 
 
@@ -1041,8 +1020,8 @@ def execute_remote(
                 work = []
                 break
             now = time.monotonic()
-            # Dispatch: one in-flight unit per worker (the remote analog
-            # of the steal-mode throttle) so slow workers never hoard.
+            # Dispatch: one in-flight unit per worker, so slow workers
+            # never hoard.
             idle = [link for link in live() if link.inflight is None]
             for link in idle:
                 chosen = None

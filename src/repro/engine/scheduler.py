@@ -163,39 +163,6 @@ def estimate_batch_bytes(n: int, max_rounds: int, lanes: int = 1) -> int:
     return lanes * lane_bytes(n, max_rounds)
 
 
-def can_split(batch: PlannedBatch) -> bool:
-    """Whether a planned batch is worth cutting in half for stealing."""
-    return batch.lanes >= 2 * MIN_SPLIT_LANES
-
-
-def split_planned(batch: PlannedBatch) -> tuple[PlannedBatch, PlannedBatch]:
-    """Cut a planned batch in two at the deterministic midpoint.
-
-    The split point (``lanes // 2``) is a pure function of the batch —
-    and the batch is a pure function of the plan — so work stealing
-    built on this cut can never leak into journal bytes or the
-    deterministic telemetry plane: both halves keep the parent's tensor
-    width and kernel envelope, and every lane still runs its exact
-    per-scenario program.
-    """
-    if not can_split(batch):
-        raise ValueError(
-            f"batch of {batch.lanes} lanes is below the "
-            f"{2 * MIN_SPLIT_LANES}-lane split threshold"
-        )
-    mid = batch.lanes // 2
-    return (
-        PlannedBatch(
-            n=batch.n, bucket=batch.bucket, width=batch.width,
-            items=batch.items[:mid],
-        ),
-        PlannedBatch(
-            n=batch.n, bucket=batch.bucket, width=batch.width,
-            items=batch.items[mid:],
-        ),
-    )
-
-
 def plan_batches(
     items: Iterable[IndexedSpec],
     batch_memory: int | None = None,

@@ -14,16 +14,14 @@ Metrics live on two planes, and the distinction is load-bearing:
     decisions, RNG fetches), scheduler grouping (including the
     cross-``n`` packing accounting — ``scheduler.padded_lane_width``,
     ``scheduler.wasted_pad_cells``), result counts, journal bytes.
-    These are **invariant** across ``--jobs``, batch shuffle,
-    compaction on/off, work stealing, and the active array namespace —
-    the same contract the journal obeys — and the test suite pins that
-    invariance.
+    These are **invariant** across ``--jobs``, ``--workers``, batch
+    shuffle and compaction on/off — the same contract the journal
+    obeys — and the test suite pins that invariance.
 
 ``volatile``
     Execution-shape metrics: wall-clock durations, batch cuts after
-    jobs-splitting, steal activity (``executor.steal_splits``,
-    ``executor.batches_stolen``), skeleton-cache hits/misses,
-    compaction/refill events, queue waits, per-worker utilization.
+    jobs-splitting, skeleton-cache hits/misses, compaction/refill
+    events, queue waits, per-worker utilization.
     Useful for profiling, excluded from invariance comparisons.
 
 Workers build their own ``Recorder``, return ``snapshot()`` alongside

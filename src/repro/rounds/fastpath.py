@@ -44,7 +44,7 @@ from repro.graphs.matrices import (
     batched_transitive_closure,
     prefix_intersections,
 )
-from repro.rounds.array_backend import KernelNamespace, resolve_namespace
+from repro.rounds.array_backend import KERNEL
 
 
 class FastPathUnsupported(RuntimeError):
@@ -497,7 +497,6 @@ def simulate_fastpath_batch(
     width: int | None = None,
     compact: bool = True,
     recorder=None,
-    namespace=None,
 ) -> list[FastPathRun]:
     """Execute a whole stack of Algorithm 1 runs at once.
 
@@ -534,15 +533,9 @@ def simulate_fastpath_batch(
       block fetches (block sizes derive from the lane's own ``n``, so
       each lane's ``(count, start)`` stream is untouched by packing).
 
-    The tensor core is expressed through the Python Array API standard
-    via a :class:`~repro.rounds.array_backend.KernelNamespace`
-    (``namespace`` accepts a namespace object or a device string; the
-    default resolves the ``REPRO_DEVICE`` environment variable and falls
-    back to NumPy).  On NumPy the host/device transfer seams are
-    identity functions and the kernel is byte-identical to the pre-port
-    code; on CuPy/torch the closure/label tensors live on the device and
-    only the per-lane bookkeeping (round clocks, RNG fetches, harvest)
-    touches the host.
+    The two heavy operations of each round, the sender-max merge and
+    the batched closure, run through
+    :data:`~repro.rounds.array_backend.KERNEL`.
 
     ``width`` caps the *concurrent* lane count: the first ``width`` tasks
     are admitted up front and the rest queue, refilling freed width as
@@ -564,8 +557,6 @@ def simulate_fastpath_batch(
     """
     if not tasks:
         return []
-    ns = resolve_namespace(namespace)
-    xp = ns.xp
     T = len(tasks)
     # Per-task parameters, resolved up front (admission can happen
     # mid-run; validation errors must surface before any lane executes).
@@ -599,9 +590,8 @@ def simulate_fastpath_batch(
 
     width_limit = T if width is None else max(1, int(width))
     idx = np.arange(n)
-    eye = xp.eye(n, dtype=xp.bool)
+    eye = np.eye(n, dtype=bool)
     big = int(np.iinfo(np.int64).max)
-    big0 = xp.asarray(big, dtype=xp.int64)
 
     def stack_est(task_ids) -> np.ndarray:
         """Per-lane initial estimates, padded to width ``n`` with +inf
@@ -624,9 +614,7 @@ def simulate_fastpath_batch(
     # Lane state, axis 0 = lane.  ``origin`` maps a lane back to its
     # task; ``offset`` is the global round at which the lane was admitted
     # (its local round clock is ``r - offset``), so late-admitted lanes
-    # run the exact per-lane program of simulate_fastpath.  Bookkeeping
-    # vectors stay host NumPy; the heavy tensors live in the active
-    # namespace (identical objects on the NumPy default).
+    # run the exact per-lane program of simulate_fastpath.
     S = min(T, width_limit)
     origin = np.arange(S, dtype=np.int64)
     offset = np.zeros(S, dtype=np.int64)
@@ -635,17 +623,17 @@ def simulate_fastpath_batch(
     prune = t_prune[:S].copy()
     ln = t_n[:S].copy()  # per-lane nominal n (<= padded width n)
     filled = np.zeros(S, dtype=np.int64)
-    schedule = xp.zeros((S, int(mr.max()), n, n), dtype=xp.bool)
-    pt = xp.ones((S, n, n), dtype=xp.bool)
-    est = ns.from_host(stack_est(range(S)))
-    labels = xp.zeros((S, n, n, n), dtype=xp.int32)
-    nodes = xp.asarray(xp.broadcast_to(eye, (S, n, n)), copy=True)
-    decided = xp.zeros((S, n), dtype=xp.bool)
-    dec_round = xp.zeros((S, n), dtype=xp.int64)
-    dec_value = xp.zeros((S, n), dtype=xp.int64)
+    schedule = np.zeros((S, int(mr.max()), n, n), dtype=bool)
+    pt = np.ones((S, n, n), dtype=bool)
+    est = stack_est(range(S))
+    labels = np.zeros((S, n, n, n), dtype=np.int32)
+    nodes = np.broadcast_to(eye, (S, n, n)).copy()
+    decided = np.zeros((S, n), dtype=bool)
+    dec_round = np.zeros((S, n), dtype=np.int64)
+    dec_value = np.zeros((S, n), dtype=np.int64)
     active = np.ones(S, dtype=bool)
     next_task = S
-    new_labels = xp.empty_like(labels)
+    new_labels = np.empty_like(labels)
     # Until the first mid-run admission every lane shares the global
     # clock (offset 0), and the per-round schedule gather degrades to
     # the plain slice view of the uniform-clock kernel — the common
@@ -654,9 +642,9 @@ def simulate_fastpath_batch(
     # Lane-composition invariants, recomputed only when lanes change.
     prune_all = bool(prune.all())
     prune_any = bool(prune.any())
-    lane_ok = idx[None, :] < ln[:, None]  # host (S, n): real owner slots
+    lane_ok = idx[None, :] < ln[:, None]  # (S, n): real owner slots
     has_padding = bool((ln < n).any())
-    pad_dev = ns.from_host(~lane_ok) if has_padding else None
+    pad_slots = ~lane_ok if has_padding else None
 
     def ensure(targets: np.ndarray, lanes: np.ndarray) -> None:
         """Fetch each lane's schedule up to its local target round.
@@ -709,7 +697,7 @@ def simulate_fastpath_batch(
             # Padded rows/cols (>= lane_n) stay False: the round-1 PT
             # intersection then removes every padded sender before any
             # commit point reads it.
-            schedule[s, have:upto, :lane_n, :lane_n] = ns.from_host(fetched)
+            schedule[s, have:upto, :lane_n, :lane_n] = fetched
             if enforce_self_delivery:
                 d = idx[:lane_n]
                 schedule[s, have:upto, d, d] = True
@@ -723,12 +711,10 @@ def simulate_fastpath_batch(
             initial_values=tuple(
                 int(v) for v in tasks[int(origin[s])].initial_values
             ),
-            decided=ns.to_host(decided[s])[:lane_n].copy(),
-            decision_round=ns.to_host(dec_round[s])[:lane_n].copy(),
-            decision_value=ns.to_host(dec_value[s])[:lane_n].copy(),
-            adjacency=ns.to_host(schedule[s, :local_round])[
-                :, :lane_n, :lane_n
-            ].copy(),
+            decided=decided[s, :lane_n].copy(),
+            decision_round=dec_round[s, :lane_n].copy(),
+            decision_value=dec_value[s, :lane_n].copy(),
+            adjacency=schedule[s, :local_round, :lane_n, :lane_n].copy(),
         )
 
     r = 0
@@ -739,11 +725,11 @@ def simulate_fastpath_batch(
         need = active & (filled < r_loc)
         if need.any():
             ensure(r_loc, need)
-        act = ns.from_host(active)[:, None]
+        act = active[:, None]
         # Sending phase: freeze beginning-of-round estimates for every
         # lane (cheap at (S, n); the per-scenario copy-elision would need
         # a per-lane branch).
-        sent_est = xp.asarray(est, copy=True)
+        sent_est = est.copy()
 
         # Line 9 / equation (7), all lanes at once.  Retired lanes not
         # yet compacted away have stale clocks; clamp their row index —
@@ -753,47 +739,44 @@ def simulate_fastpath_batch(
             sched_now = schedule[np.arange(S), rows]
         else:
             sched_now = schedule[:, r - 1]
-        pt &= xp.permute_dims(sched_now, (0, 2, 1))
+        pt &= np.transpose(sched_now, (0, 2, 1))
 
         # Lines 10-13: adopt from the smallest decided sender in PT_p.
-        if bool(xp.any(decided)):
+        if decided.any():
             adoptable = pt & decided[:, None, :]
-            adopt = xp.any(adoptable, axis=2) & ~decided & act
-            if bool(xp.any(adopt)):
-                first_decider = xp.argmax(
-                    xp.astype(adoptable, xp.int8), axis=2
-                )
-                adopted = xp.take_along_axis(sent_est, first_decider, axis=1)
-                rl_mat = ns.from_host(np.broadcast_to(r_loc[:, None], (S, n)))
+            adopt = adoptable.any(axis=2) & ~decided & act
+            if adopt.any():
+                first_decider = np.argmax(adoptable.astype(np.int8), axis=2)
+                adopted = np.take_along_axis(sent_est, first_decider, axis=1)
+                rl_mat = np.broadcast_to(r_loc[:, None], (S, n))
                 est[adopt] = adopted[adopt]
                 decided |= adopt
                 dec_round[adopt] = rl_mat[adopt]
                 dec_value[adopt] = est[adopt]
 
         # Lines 14-23: reset + fresh in-edges + max-merge over senders.
-        # On NumPy the merge gathers only the PT_p senders' label rows
+        # From n = 16 the merge gathers only the PT_p senders' label rows
         # into ``new_labels``, so it costs nnz(PT)·n² per round rather
         # than S·n⁴ (PT_p shrinks toward p's skeleton in-neighbourhood);
         # below n = 16 it runs the fused dense where-reduce, which is
-        # faster there.  Devices chunk a dense where + max.
-        new_labels = ns.masked_sender_max(labels, pt, new_labels)
-        ss, ps, qs = xp.nonzero(pt)
-        new_labels[ss, ps, qs, ps] = ns.from_host(r_loc)[ss]
-        new_nodes = ns.bool_matmul(pt, nodes) | eye
+        # faster there.
+        new_labels = KERNEL.masked_sender_max(labels, pt, new_labels)
+        ss, ps, qs = np.nonzero(pt)
+        new_labels[ss, ps, qs, ps] = r_loc[ss]
+        new_nodes = (pt @ nodes) | eye
 
         # Line 24: purge, with per-lane windows on per-lane clocks.
-        purge_floor = ns.from_host(np.maximum(r_loc - window, 0))
+        purge_floor = np.maximum(r_loc - window, 0)
         present = new_labels > purge_floor[:, None, None, None]
         new_labels *= present
 
         # Lines 25 + 28 from one batched closure over all S·n graphs.
-        closure = xp.reshape(
-            ns.batched_closure(xp.reshape(present, (S * n, n, n))),
-            (S, n, n, n),
-        )
+        closure = KERNEL.batched_closure(
+            present.reshape(S * n, n, n)
+        ).reshape(S, n, n, n)
         # [s, p, i] — i reaches the owner p in G_p of lane s.
         reaches_owner = (
-            xp.moveaxis(closure[:, idx, :, idx], 0, 1) & new_nodes
+            np.moveaxis(closure[:, idx, :, idx], 0, 1) & new_nodes
         )
         if prune_all:
             new_nodes = reaches_owner
@@ -804,19 +787,17 @@ def simulate_fastpath_batch(
             keep = (
                 reaches_owner[:, :, :, None] & reaches_owner[:, :, None, :]
             )
-            lane = ns.from_host(prune)[:, None, None]
-            new_nodes = xp.where(lane, reaches_owner, new_nodes)
-            new_labels *= xp.where(
-                lane[..., None], keep, xp.ones((), dtype=xp.bool)
-            )
+            lane = prune[:, None, None]
+            new_nodes = np.where(lane, reaches_owner, new_nodes)
+            new_labels *= np.where(lane[..., None], keep, True)
 
         undecided = ~decided
         # Line 27: min over beginning-of-round estimates of PT_p.
-        candidate = xp.min(xp.where(pt, sent_est[:, None, :], big0), axis=2)
+        candidate = np.min(np.where(pt, sent_est[:, None, :], big), axis=2)
         if enforce_self_delivery:
             update = undecided & act
         else:
-            update = undecided & act & xp.any(pt, axis=2)
+            update = undecided & act & pt.any(axis=2)
         est[update] = candidate[update]
         # Lines 28-30: hub-criterion decide once the lane's *own* clock
         # passes its *own* n — packed narrow lanes become eligible
@@ -825,14 +806,14 @@ def simulate_fastpath_batch(
         if bool(elig.any()):
             reached_by_owner = closure[:, idx, idx, :]  # [s, p, j]: p -> j
             mutual = reaches_owner & reached_by_owner
-            strongly_connected = xp.all(mutual | ~new_nodes, axis=2)
+            strongly_connected = np.all(mutual | ~new_nodes, axis=2)
             newly = undecided & strongly_connected & act
             if has_padding or not bool(elig.all()):
                 # Gate out ineligible lanes and padded owner slots
                 # (their trivial {p} components would "decide").
-                newly &= ns.from_host(elig[:, None] & lane_ok)
-            if bool(xp.any(newly)):
-                rl_mat = ns.from_host(np.broadcast_to(r_loc[:, None], (S, n)))
+                newly &= elig[:, None] & lane_ok
+            if newly.any():
+                rl_mat = np.broadcast_to(r_loc[:, None], (S, n))
                 decided |= newly
                 dec_round[newly] = rl_mat[newly]
                 dec_value[newly] = est[newly]
@@ -844,8 +825,8 @@ def simulate_fastpath_batch(
         # Padded owner slots never decide, so completion ignores them.
         retire = np.zeros(S, dtype=bool)
         if stop_when_all_decided:
-            done = decided | pad_dev if has_padding else decided
-            retire |= active & ns.to_host(xp.all(done, axis=1))
+            done = decided | pad_slots if has_padding else decided
+            retire |= active & done.all(axis=1)
         retire |= active & (r_loc >= mr)
         if retire.any():
             for s in np.nonzero(retire)[0]:
@@ -866,7 +847,6 @@ def simulate_fastpath_batch(
             lanes_changed = True
             compactions += 1
             keep = active
-            keep_dev = ns.from_host(keep)
             origin = origin[keep]
             offset = offset[keep]
             mr = mr[keep]
@@ -874,14 +854,14 @@ def simulate_fastpath_batch(
             prune = prune[keep]
             ln = ln[keep]
             filled = filled[keep]
-            schedule = schedule[keep_dev]
-            pt = pt[keep_dev]
-            est = est[keep_dev]
-            labels = labels[keep_dev]
-            nodes = nodes[keep_dev]
-            decided = decided[keep_dev]
-            dec_round = dec_round[keep_dev]
-            dec_value = dec_value[keep_dev]
+            schedule = schedule[keep]
+            pt = pt[keep]
+            est = est[keep]
+            labels = labels[keep]
+            nodes = nodes[keep]
+            decided = decided[keep]
+            dec_round = dec_round[keep]
+            dec_value = dec_value[keep]
             active = active[keep]
             live = origin.size
         # Admission: with compaction on, refill freed width mid-run;
@@ -896,11 +876,9 @@ def simulate_fastpath_batch(
             next_task += take
             rmax = int(t_mr[admitted].max())
             if origin.size == 0:
-                schedule = xp.zeros((0, rmax, n, n), dtype=xp.bool)
+                schedule = np.zeros((0, rmax, n, n), dtype=bool)
             elif schedule.shape[1] < rmax:
-                grown = xp.zeros(
-                    (origin.size, rmax, n, n), dtype=xp.bool
-                )
+                grown = np.zeros((origin.size, rmax, n, n), dtype=bool)
                 grown[:, : schedule.shape[1]] = schedule
                 schedule = grown
             else:
@@ -917,38 +895,35 @@ def simulate_fastpath_batch(
             filled = np.concatenate(
                 [filled, np.zeros(take, dtype=np.int64)]
             )
-            schedule = xp.concat(
-                [schedule, xp.zeros((take, rmax, n, n), dtype=xp.bool)]
+            schedule = np.concatenate(
+                [schedule, np.zeros((take, rmax, n, n), dtype=bool)]
             )
-            pt = xp.concat([pt, xp.ones((take, n, n), dtype=xp.bool)])
-            est = xp.concat([est, ns.from_host(stack_est(admitted))])
-            labels = xp.concat(
-                [labels, xp.zeros((take, n, n, n), dtype=xp.int32)]
+            pt = np.concatenate([pt, np.ones((take, n, n), dtype=bool)])
+            est = np.concatenate([est, stack_est(admitted)])
+            labels = np.concatenate(
+                [labels, np.zeros((take, n, n, n), dtype=np.int32)]
             )
-            nodes = xp.concat(
-                [
-                    nodes,
-                    xp.asarray(xp.broadcast_to(eye, (take, n, n)), copy=True),
-                ]
+            nodes = np.concatenate(
+                [nodes, np.broadcast_to(eye, (take, n, n))]
             )
-            decided = xp.concat(
-                [decided, xp.zeros((take, n), dtype=xp.bool)]
+            decided = np.concatenate(
+                [decided, np.zeros((take, n), dtype=bool)]
             )
-            dec_round = xp.concat(
-                [dec_round, xp.zeros((take, n), dtype=xp.int64)]
+            dec_round = np.concatenate(
+                [dec_round, np.zeros((take, n), dtype=np.int64)]
             )
-            dec_value = xp.concat(
-                [dec_value, xp.zeros((take, n), dtype=xp.int64)]
+            dec_value = np.concatenate(
+                [dec_value, np.zeros((take, n), dtype=np.int64)]
             )
             active = np.concatenate([active, np.ones(take, dtype=bool)])
         if lanes_changed:
             if new_labels.shape != labels.shape:
-                new_labels = xp.empty_like(labels)
+                new_labels = np.empty_like(labels)
             prune_all = bool(prune.all())
             prune_any = bool(prune.any())
             lane_ok = idx[None, :] < ln[:, None]
             has_padding = bool((ln < n).any())
-            pad_dev = ns.from_host(~lane_ok) if has_padding else None
+            pad_slots = ~lane_ok if has_padding else None
 
     if recorder:
         # Deterministic plane: per-lane quantities, invariant across

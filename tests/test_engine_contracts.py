@@ -351,57 +351,3 @@ def test_cli_campaign_run_contracts_flag(tmp_path, capsys):
     assert "state: ok" in out
     # Contracts were actually armed in-process.
     assert contracts_module.enabled()
-
-
-# ----------------------------------------------------------------------
-# Steal-split partition purity
-# ----------------------------------------------------------------------
-def _planned_batch(lanes=16, n=6):
-    specs = [
-        ScenarioSpec(n=n, k=2, num_groups=2, seed=s) for s in range(lanes)
-    ]
-    (batch,) = plan_batches(list(enumerate(specs))).batches
-    return batch
-
-
-def test_split_partition_accepts_a_clean_cut():
-    from repro.engine.scheduler import split_planned
-
-    active = Contracts()
-    batch = _planned_batch()
-    active.check_split_partition(batch, split_planned(batch))
-    assert active.checks == 1 and active.violations == 0
-
-
-def test_split_partition_rejects_dropped_or_reordered_lanes():
-    from dataclasses import replace
-
-    from repro.engine.scheduler import split_planned
-
-    active = Contracts()
-    batch = _planned_batch()
-    first, second = split_planned(batch)
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
-        active.check_split_partition(batch, (first, replace(
-            second, items=second.items[:-1]
-        )))
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
-        active.check_split_partition(batch, (second, first))
-
-
-def test_split_partition_rejects_a_changed_envelope():
-    from dataclasses import replace
-
-    from repro.engine.scheduler import split_planned
-
-    active = Contracts()
-    batch = _planned_batch()
-    first, second = split_planned(batch)
-    shrunk = replace(first, width=max(1, first.width - 1))
-    with pytest.raises(ContractViolation, match="steal_split_partition"):
-        active.check_split_partition(batch, (shrunk, second))
-
-
-def test_null_contracts_split_partition_is_inert():
-    batch = _planned_batch()
-    assert NO_CONTRACTS.check_split_partition(batch, ()) is None

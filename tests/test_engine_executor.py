@@ -239,107 +239,6 @@ class TestTimeouts:
         assert arrived[0] == fast.scenario_id
 
 
-class TestWorkStealing:
-    SPECS = [
-        ScenarioSpec(n=6, k=2, num_groups=2, seed=s, noise=0.2)
-        for s in range(32)
-    ]
-
-    def test_steal_preserves_journal_bytes_and_counts_splits(self):
-        from repro.engine.store import journal_line
-        from repro.engine.telemetry import Recorder
-
-        serial = execute_scenarios(self.SPECS, backend="batched")
-        expected = [journal_line(r) for r in serial]
-        rec = Recorder()
-        results = execute_scenarios(
-            self.SPECS, jobs=2, backend="batched", steal=True, recorder=rec
-        )
-        assert [journal_line(r) for r in results] == expected
-        vol = rec.snapshot()["volatile"]["counters"]
-        assert vol.get("executor.steal_splits", 0) >= 1
-        assert (
-            vol["executor.batches_stolen"] == 2 * vol["executor.steal_splits"]
-        )
-
-    def test_presplit_fills_an_underplanned_pool(self):
-        # A plan coarser than the pool (one 32-lane batch, four workers)
-        # is pre-split down to one unit per worker before dispatch.
-        from repro.engine.scheduler import plan_batches
-        from repro.engine.store import journal_line
-        from repro.engine.telemetry import Recorder
-
-        plan = plan_batches(list(enumerate(self.SPECS)))
-        assert len(plan.batches) == 1
-        serial = execute_scenarios(self.SPECS, backend="batched")
-        rec = Recorder()
-        results = execute_scenarios(
-            self.SPECS,
-            jobs=4,
-            backend="batched",
-            steal=True,
-            plan=plan,
-            recorder=rec,
-        )
-        assert [journal_line(r) for r in results] == [
-            journal_line(r) for r in serial
-        ]
-        vol = rec.snapshot()["volatile"]["counters"]
-        # 32 -> 16+16 -> 8+8+16 -> 8+8+8+8: three splits minimum.
-        assert vol["executor.steal_splits"] >= 3
-
-    def test_deterministic_plane_is_steal_invariant(self):
-        # Pool runs compared against pool runs: the serial path skips
-        # the scheduler's plan-level metrics by design (the campaign's
-        # own plan_batches is their single source), so only pool-vs-pool
-        # snapshots are comparable in full.
-        from repro.engine.telemetry import Recorder
-
-        snaps = []
-        for jobs, steal in ((2, False), (2, True), (4, True)):
-            rec = Recorder()
-            execute_scenarios(
-                self.SPECS,
-                jobs=jobs,
-                backend="batched",
-                steal=steal,
-                recorder=rec,
-            )
-            snaps.append(rec.snapshot()["deterministic"])
-        assert snaps[0] == snaps[1] == snaps[2]
-
-    def test_steal_is_noop_for_unbatched_backends(self):
-        from repro.engine.telemetry import Recorder
-
-        rec = Recorder()
-        results = execute_scenarios(
-            self.SPECS[:6],
-            jobs=2,
-            backend="reference",
-            steal=True,
-            recorder=rec,
-        )
-        assert all(r.status == "ok" for r in results)
-        vol = rec.snapshot()["volatile"]["counters"]
-        assert "executor.steal_splits" not in vol
-        assert "executor.batches_stolen" not in vol
-
-    def test_steal_splits_are_contract_checked(self):
-        from repro.engine import contracts as contracts_mod
-
-        active = contracts_mod.activate()
-        try:
-            execute_scenarios(
-                self.SPECS, jobs=2, backend="batched", steal=True
-            )
-            # At least one split sampled through the partition contract
-            # (the first occurrence is always validated) — and none of
-            # them raised.
-            assert active._counts.get("steal_split", 0) >= 1
-        finally:
-            contracts_mod.deactivate()
-
-
 def _sleep_chunk(seconds):
     # Module-level so the pool can pickle it to a worker by reference.
     import time

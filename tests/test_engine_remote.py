@@ -17,6 +17,7 @@ from worker_harness import worker_fleet
 
 from repro.engine import faults as _faults
 from repro.engine.campaign import Campaign
+from repro.engine.executor import default_chunksize
 from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
     RemoteWorkerError,
@@ -185,21 +186,36 @@ class TestRemoteByteIdentity:
             assert fleet.stop() == [0, 0, 0, 0]
 
     def test_remote_telemetry_counts_every_record_once(self, tmp_path):
-        grid = small_grid()
+        # One 20-lane group plus the small grid: a two-worker fleet's
+        # plan cuts the group in two, as a two-job pool's would.
+        grid = small_grid().expand() + ScenarioGrid(
+            n=[7], k=2, num_groups=2, seed=range(20), noise=0.1
+        ).expand()
+        plans = []
         with worker_fleet(tmp_path, count=2) as fleet:
             rec = Recorder()
             campaign = Campaign(grid, store=tmp_path / "j.jsonl")
             campaign.run(
-                backend="auto", workers=fleet.endpoints, recorder=rec
+                backend="auto", workers=fleet.endpoints, recorder=rec,
+                reporter_factory=lambda total, plan: plans.append(plan),
             )
             snap = rec.snapshot()
             merged = snap["deterministic"]["counters"][
                 "remote.shard_records_merged"
             ]
-            assert merged == len(grid.expand())
+            assert merged == len(grid)
             info = snap["volatile"]["info"]["remote.workers"]
             assert len(info) == 2
             assert sum(w["units"] for w in info) >= 1
+        # The progress reporter's plan is the plan the fleet dispatched:
+        # one unit per planned batch plus one per chunk of singles.
+        (plan,) = plans
+        assert [b.lanes for b in plan.batches if b.n == 7] == [10, 10]
+        singles = len(plan.singles)
+        chunks = -(-singles // default_chunksize(singles, 2)) if singles else 0
+        assert snap["volatile"]["counters"]["remote.batches_dispatched"] == (
+            len(plan.batches) + chunks
+        )
 
 
 @pytest.mark.daemon

@@ -132,6 +132,31 @@ class TestPlanBatches:
             journal_line(r) for r in serial
         ]
 
+    @pytest.mark.parametrize("pack_widths", [False, True])
+    def test_item_order_is_jobs_invariant(self, pack_widths):
+        # A remote fleet plans with jobs = its worker count and releases
+        # results in the plan's item order, so the journal order equals
+        # the serial run's only if jobs merely cuts groups and never
+        # reorders items: mixed n = 4..24 (three round buckets), groups
+        # large enough to be cut, and singles interleaved.
+        specs = []
+        for seed in range(20):
+            specs.extend(_grouped(n, seed) for n in (4, 5, 9, 16, 24))
+            if seed % 7 == 0:
+                specs.append(UNSUPPORTED)
+        items = list(enumerate(specs))
+
+        def item_order(plan):
+            return [idx for b in plan.batches for idx, _ in b.items] + [
+                idx for idx, _ in plan.singles
+            ]
+
+        serial = plan_batches(items, jobs=1, pack_widths=pack_widths)
+        for jobs in (2, 3, 4, 8):
+            plan = plan_batches(items, jobs=jobs, pack_widths=pack_widths)
+            assert len(plan.batches) > len(serial.batches), jobs
+            assert item_order(plan) == item_order(serial), jobs
+
     def test_batch_memory_envelope_shrinks_width(self):
         specs = [_grouped(6, seed) for seed in range(5)]
         tiny = plan_batches(list(enumerate(specs)), batch_memory=1)
@@ -312,36 +337,10 @@ class TestCrossWidthPlanning:
         with pytest.raises(ValueError):
             estimate_batch_bytes(7, 62, lanes=0)
 
-    def test_split_planned_deterministic_partition(self):
-        from repro.engine.scheduler import (
-            MIN_SPLIT_LANES,
-            can_split,
-            split_planned,
-        )
-
-        specs = [_grouped(6, s) for s in range(2 * MIN_SPLIT_LANES)]
-        (batch,) = plan_batches(list(enumerate(specs))).batches
-        assert can_split(batch)
-        first, second = split_planned(batch)
-        assert first.items + second.items == batch.items
-        assert first.lanes == batch.lanes // 2
-        for half in (first, second):
-            assert (half.n, half.bucket, half.width) == (
-                batch.n, batch.bucket, batch.width,
-            )
-        # Pure function of the batch: same cut every time.
-        assert split_planned(batch) == (first, second)
-        # Below the threshold: can_split says no and split_planned raises.
-        assert not can_split(first)
-        with pytest.raises(ValueError):
-            split_planned(first)
-
     def test_progress_reporter_split_batches_not_double_counted(self):
-        # Stolen halves report the same scenario ids as the parent batch:
-        # the batch column must complete exactly once and the scenario
-        # total must not inflate.
-        from repro.engine.scheduler import split_planned
-
+        # A batch whose lanes report in pieces (as when a failed batch
+        # is retried as singleton chunks) completes exactly once and
+        # the scenario total does not inflate.
         specs = [_grouped(6, s) for s in range(16)]
         plan = plan_batches(list(enumerate(specs)))
         stream = io.StringIO()
@@ -352,8 +351,9 @@ class TestCrossWidthPlanning:
             interval=0.0,
             clock=lambda: 0.0,
         )
-        for half in split_planned(plan.batches[0]):
-            for _, spec in half.items:
+        items = plan.batches[0].items
+        for half in (items[:8], items[8:]):
+            for _, spec in half:
                 reporter.update(ScenarioResult(spec=spec))
         lines = stream.getvalue().splitlines()
         assert lines[-1].startswith("[campaign] 16/16 scenarios (100%)")
