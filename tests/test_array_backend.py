@@ -1,9 +1,12 @@
 """Unit tests for :mod:`repro.rounds.array_backend`.
 
 The batched kernel's merge and closure are checked against the
-straightforward NumPy formulations: the sender-max merge against an
-explicit per-owner loop and against the fused dense reduce, the closure
-against :func:`repro.graphs.matrices.batched_transitive_closure`.
+straightforward formulations: the sender-max merge against an explicit
+per-owner loop and against the fused dense reduce, the closure against
+:func:`repro.graphs.matrices.batched_transitive_closure`.  The last
+class pins the hook a profiler relies on: both operations are looked up
+on :class:`KernelNamespace` at call time, so a wrapper set on the class
+sees every call the batched kernel makes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rounds.array_backend import KERNEL, _gather_sender_max
+from repro.engine.scenarios import ScenarioSpec
+from repro.rounds import array_backend
+from repro.rounds.array_backend import (
+    _GATHER_MIN_N,
+    KERNEL,
+    KernelNamespace,
+    _gather_sender_max,
+)
+from repro.rounds.fastpath import FastPathTask, simulate_fastpath_batch
 
 
 class TestKernelOps:
@@ -74,7 +85,11 @@ def _pt_with_row_sizes(rng, S, n, sizes):
 class TestSparseSenderMax:
     """The PT-sender gather merge against the fused dense reduce."""
 
-    @pytest.mark.parametrize("n", [4, 12, 17, 32, 48])
+    # _GATHER_MIN_N - 1 and _GATHER_MIN_N straddle the switch from the
+    # fused dense reduce to the PT-sender gather.
+    @pytest.mark.parametrize(
+        "n", [4, 12, _GATHER_MIN_N - 1, _GATHER_MIN_N, 17, 32, 48]
+    )
     @pytest.mark.parametrize("S", [1, 5, 12])
     def test_matches_dense_reduce(self, S, n):
         rng = np.random.default_rng(1000 * S + n)
@@ -96,6 +111,23 @@ class TestSparseSenderMax:
                 assert got is out, (name, merge)
                 assert np.array_equal(out, expected), (name, merge)
 
+    @pytest.mark.parametrize("block_owners", [1, 2, 3, 4])
+    def test_gather_blocks_cover_every_owner(self, monkeypatch, block_owners):
+        # Shrink the block cap so the 5 x 17 = 85 owners gather in
+        # blocks of 1 to 4 owners: every cut but the first leaves a
+        # short last block, and none may drop or repeat an owner.
+        S, n = 5, 17
+        rng = np.random.default_rng(block_owners)
+        labels = rng.integers(0, 1000, size=(S, n, n, n), dtype=np.int32)
+        pt = _pt_with_row_sizes(rng, S, n, [n, 0, 2, 5, 1])
+        row_bytes = n * n * n * labels.itemsize  # max |PT_p| = n rows
+        monkeypatch.setattr(
+            array_backend, "_GATHER_BLOCK_BYTES", block_owners * row_bytes
+        )
+        out = np.full_like(labels, -7)
+        _gather_sender_max(labels, pt, out)
+        assert np.array_equal(out, _dense_sender_max(labels, pt))
+
     def test_one_call_stays_within_one_label_tensor(self):
         # S = 12, n = 32, max |PT_p| = n/2: every temporary the merge
         # allocates, together, fits in one (S, n, n, n) label tensor.
@@ -115,3 +147,53 @@ class TestSparseSenderMax:
             tracemalloc.stop()
         assert peak <= labels.nbytes, (peak, labels.nbytes)
         assert np.array_equal(out, _dense_sender_max(labels, pt))
+
+
+def _kernel_tasks():
+    specs = [
+        ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.2)
+        for n in (5, 6, _GATHER_MIN_N)
+        for seed in range(2)
+    ]
+    return [
+        FastPathTask(
+            adjacency=spec.build_adversary().adjacency_stack,
+            initial_values=tuple(range(spec.n)),
+            max_rounds=spec.resolved_max_rounds(),
+        )
+        for spec in specs
+    ]
+
+
+def _run_key(run):
+    return (
+        run.num_rounds,
+        run.decided.tobytes(),
+        run.decision_round.tobytes(),
+        run.decision_value.tobytes(),
+    )
+
+
+class TestClassLevelWrapping:
+    """The batched kernel calls both operations through the class, so a
+    profiler that replaces ``KernelNamespace.<name>`` with ``setattr``
+    (a plain function taking the instance first) times every call."""
+
+    @pytest.mark.parametrize("name", ["masked_sender_max", "batched_closure"])
+    def test_wrapper_on_the_class_sees_every_call(self, monkeypatch, name):
+        expected = [
+            _run_key(r) for r in simulate_fastpath_batch(_kernel_tasks())
+        ]
+        original = getattr(KernelNamespace, name)
+        calls = []
+
+        def traced(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(KernelNamespace, name, traced)
+        runs = simulate_fastpath_batch(_kernel_tasks())
+        assert [_run_key(r) for r in runs] == expected
+        assert calls and all(owner is KERNEL for owner in calls)
+        # One call per kernel round: at least as many as the longest run.
+        assert len(calls) >= max(r.num_rounds for r in runs)

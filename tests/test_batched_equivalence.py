@@ -784,6 +784,16 @@ MIXED_N_SPECS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def mixed_n_serial_lines():
+    """Journal lines of the serial, unpacked batched run of
+    :data:`MIXED_N_SPECS`."""
+    return [
+        journal_line(r)
+        for r in execute_scenarios(MIXED_N_SPECS, backend=BACKEND_BATCHED)
+    ]
+
+
 class TestCrossWidthPacking:
     """Mixed-n grids through one padded tensor program: bit-identical."""
 
@@ -811,28 +821,29 @@ class TestCrossWidthPacking:
             assert line == canonical_line(execute_scenario(spec))
             assert line == canonical_line(execute_scenario_vectorized(spec))
 
-    def test_journal_bytes_invariant_under_pack_jobs_compaction(self):
-        expected = [
-            journal_line(r)
-            for r in execute_scenarios(MIXED_N_SPECS, backend=BACKEND_BATCHED)
-        ]
-        # The whole pack x jobs x compact product against the serial
-        # unpacked baseline.
-        for pack, jobs, compact in itertools.product(
-            (False, True), (1, 2, 4), (True, False)
-        ):
-            if (pack, jobs, compact) == (False, 1, True):
-                continue
-            results = execute_scenarios(
-                MIXED_N_SPECS,
-                jobs=jobs,
-                backend=BACKEND_BATCHED,
-                pack_widths=pack,
-                compact=compact,
+    # The whole pack x jobs x compact product against the serial
+    # unpacked baseline.
+    @pytest.mark.parametrize(
+        "pack, jobs, compact",
+        [
+            combo
+            for combo in itertools.product(
+                (False, True), (1, 2, 4), (True, False)
             )
-            assert [journal_line(r) for r in results] == expected, (
-                pack, jobs, compact,
-            )
+            if combo != (False, 1, True)
+        ],
+    )
+    def test_journal_bytes_invariant_under_pack_jobs_compaction(
+        self, mixed_n_serial_lines, pack, jobs, compact
+    ):
+        results = execute_scenarios(
+            MIXED_N_SPECS,
+            jobs=jobs,
+            backend=BACKEND_BATCHED,
+            pack_widths=pack,
+            compact=compact,
+        )
+        assert [journal_line(r) for r in results] == mixed_n_serial_lines
 
     def test_packed_deterministic_plane_matches_unpacked_kernel_work(self):
         # Packing pads the *tensors*, never the per-lane programs: the

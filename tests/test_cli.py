@@ -20,6 +20,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--topology", "torus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "--store", "j.jsonl", "--steal"],
+            ["campaign", "run", "--store", "j.jsonl", "--device", "numpy"],
+            ["campaign", "serve", "--device", "numpy"],
+            ["sweep", "--steal"],
+        ],
+        ids=["run-steal", "run-device", "serve-device", "family-steal"],
+    )
+    def test_retired_engine_flags_are_rejected(self, argv, capsys):
+        # Work stealing and the --device array namespaces are gone: an
+        # old command line fails loudly instead of running without them.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        flag = next(a for a in argv if a in ("--steal", "--device"))
+        assert "unrecognized arguments" in err and flag in err
+
 
 class TestCommands:
     def test_figure1(self, capsys):

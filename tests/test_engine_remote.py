@@ -23,12 +23,14 @@ from repro.engine.remote import (
     RemoteWorkerError,
     ShardMerger,
     WorkerEndpoint,
+    _plan_units,
     absorb_shards,
     execute_remote,
     parse_workers,
     shard_paths,
 )
-from repro.engine.scenarios import ScenarioGrid
+from repro.engine.scenarios import ScenarioGrid, ScenarioSpec
+from repro.engine.scheduler import plan_batches
 from repro.engine.store import ResultStore, journal_line
 from repro.engine.telemetry import Recorder
 
@@ -126,6 +128,81 @@ class TestShardMerger:
         merger.add(0, "b")  # 4 never arrives — gap stays pending
         assert merger.drain() == [(0, "b"), (7, "c")]
         assert merger.pending == 0
+
+
+# ----------------------------------------------------------------------
+# Dispatch units — the fleet ships the pool's plan for jobs = fleet size.
+# ----------------------------------------------------------------------
+
+
+def _fleet_work_list():
+    """Two 20-lane groups (n = 5 and 6) with unbatchable singles
+    interleaved, so every fleet size up to 4 cuts the groups."""
+    single = ScenarioSpec(
+        n=7, k=2, adversary="crash", algorithm="floodmin",
+        options=(("f", 1),),
+    )
+    specs = []
+    for seed in range(20):
+        specs += [
+            ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.1)
+            for n in (6, 5)
+        ]
+        if seed % 4 == 0:
+            specs.append(single)
+    return list(enumerate(specs))
+
+
+def _unit_order(units):
+    return [idx for unit in units for idx, _ in unit.items]
+
+
+class TestPlanUnits:
+    @pytest.mark.parametrize("fleet", [1, 2, 3, 4])
+    def test_batches_are_the_pool_plan_for_the_fleet_size(self, fleet):
+        indexed = _fleet_work_list()
+        units = _plan_units(
+            indexed, "batched", None, False, None, None, fleet, None
+        )
+        plan = plan_batches(indexed, jobs=fleet)
+        batches = [u.batch for u in units if u.kind == "batch"]
+        assert batches == list(plan.batches)
+        # One batch per group for one worker; larger fleets cut both.
+        assert len(batches) == 2 if fleet == 1 else len(batches) > 2
+        singles = list(plan.singles)
+        size = default_chunksize(len(singles), fleet)
+        assert [u.items for u in units if u.kind == "chunk"] == [
+            singles[i:i + size] for i in range(0, len(singles), size)
+        ]
+        # Whatever the fleet size, units carry the serial plan's order,
+        # which is the order the shard merger releases results in.
+        serial = plan_batches(indexed)
+        assert _unit_order(units) == [
+            idx for b in serial.batches for idx, _ in b.items
+        ] + [idx for idx, _ in serial.singles]
+
+    def test_a_given_plan_ships_unchanged(self):
+        # Campaign.run hands its reporter's plan in: the fleet must ship
+        # that plan, not re-plan for its own size.
+        indexed = _fleet_work_list()
+        plan = plan_batches(indexed, jobs=4)
+        units = _plan_units(
+            indexed, "batched", None, False, plan, None, 2, None
+        )
+        assert [u.batch for u in units if u.kind == "batch"] == list(
+            plan.batches
+        )
+
+    def test_unbatched_backends_ship_contiguous_chunks(self):
+        indexed = _fleet_work_list()
+        units = _plan_units(
+            indexed, "reference", None, False, None, None, 3, None
+        )
+        size = default_chunksize(len(indexed), 3)
+        assert all(u.kind == "chunk" for u in units)
+        assert [u.items for u in units] == [
+            indexed[i:i + size] for i in range(0, len(indexed), size)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,42 @@ UNSUPPORTED = ScenarioSpec(
 )
 
 
+def _with_singles(specs, every):
+    out = []
+    for i, spec in enumerate(specs):
+        out.append(spec)
+        if i % every == 0:
+            out.append(UNSUPPORTED)
+    return out
+
+
+JOBS_INVARIANCE_GRIDS = {
+    # Mixed n = 4..24 over three round buckets, first seen out of
+    # width order.
+    "mixed-n": lambda: _with_singles(
+        [
+            _grouped(n, seed)
+            for seed in range(20)
+            for n in (9, 24, 4, 16, 5)
+        ],
+        every=35,
+    ),
+    # One 64-lane group: jobs alone decides how many batches it becomes.
+    "one-group": lambda: _with_singles(
+        [_grouped(6, seed) for seed in range(64)], every=9
+    ),
+    # One n over four round buckets, interleaved spec by spec.
+    "round-buckets": lambda: _with_singles(
+        [
+            _grouped(7, seed, max_rounds=rounds)
+            for seed in range(16)
+            for rounds in (10, 30, 100, 300)
+        ],
+        every=13,
+    ),
+}
+
+
 class TestRoundBucket:
     def test_power_of_two_ceiling(self):
         assert round_bucket(1) == 1
@@ -132,19 +168,15 @@ class TestPlanBatches:
             journal_line(r) for r in serial
         ]
 
+    @pytest.mark.parametrize("grid", sorted(JOBS_INVARIANCE_GRIDS))
     @pytest.mark.parametrize("pack_widths", [False, True])
-    def test_item_order_is_jobs_invariant(self, pack_widths):
+    def test_item_order_is_jobs_invariant(self, pack_widths, grid):
         # A remote fleet plans with jobs = its worker count and releases
         # results in the plan's item order, so the journal order equals
         # the serial run's only if jobs merely cuts groups and never
-        # reorders items: mixed n = 4..24 (three round buckets), groups
-        # large enough to be cut, and singles interleaved.
-        specs = []
-        for seed in range(20):
-            specs.extend(_grouped(n, seed) for n in (4, 5, 9, 16, 24))
-            if seed % 7 == 0:
-                specs.append(UNSUPPORTED)
-        items = list(enumerate(specs))
+        # reorders items.  Every grid has groups large enough to be cut
+        # and singles interleaved.
+        items = list(enumerate(JOBS_INVARIANCE_GRIDS[grid]()))
 
         def item_order(plan):
             return [idx for b in plan.batches for idx, _ in b.items] + [

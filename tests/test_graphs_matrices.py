@@ -152,9 +152,11 @@ class TestBatchedClosure:
             batched_transitive_closure(stack),
         )
 
-    def test_fixed_iterations_on_path_graph(self):
+    # The widths straddle the powers of two where the fixed squaring
+    # count ceil(log2(n - 1)) steps.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
+    def test_fixed_iterations_on_path_graph(self, n):
         # Longest possible shortest path: 0 -> 1 -> ... -> n-1.
-        n = 9
         path = np.zeros((1, n, n), dtype=bool)
         path[0, np.arange(n - 1), np.arange(1, n)] = True
         closure = batched_transitive_closure(path, fixed_iterations=True)[0]
