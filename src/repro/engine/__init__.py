@@ -12,10 +12,17 @@ fleet-scale workload generator:
   ``n``, ``k``, group counts, noise, seed ranges and algorithm knobs into
   immutable :class:`ScenarioSpec` values with stable content-hash ids.
 * :mod:`repro.engine.executor` — a **parallel executor**
-  (:func:`execute_scenarios`) with a ``multiprocessing.Pool`` backend, a
-  serial fallback, chunked dispatch and per-chunk timeouts.  Results are
-  deterministic regardless of worker count: every scenario is a pure
-  function of its spec, and outputs are re-ordered into grid order.
+  (:func:`execute_scenarios`) with a serial loop and a process-pool
+  backend (:class:`WorkerPool`, one failure domain per process).
+  Results are deterministic regardless of worker count: every scenario
+  is a pure function of its spec.
+* :mod:`repro.engine.dispatch` — the **one dispatcher** behind the
+  local pool and the remote fleet: shared unit planning, retry backoff,
+  singleton splits, the fleet deadline, stop handling, and a
+  deterministic :class:`ShardMerger` that releases results in plan
+  order, so a parallel journal is byte-identical to the serial one;
+  results held back for plan order survive a coordinator crash in a
+  shard file that :func:`absorb_shards` folds back on resume.
 * :mod:`repro.engine.backends` — **execution backends**: the reference
   :class:`~repro.rounds.simulator.RoundSimulator` vs the matrix fast
   path (:mod:`repro.rounds.fastpath`), per scenario (``"vectorized"``)
@@ -57,13 +64,10 @@ fleet-scale workload generator:
   coordinator (:func:`execute_remote`) ships whole planned batches to
   remote ``repro worker`` processes over a pluggable JSON-lines/TCP
   transport (dial ``host:port`` or accept ``listen:port`` — an
-  ssh-spawned worker is a drop-in), each worker appending to its own
-  journal shard; a deterministic :class:`ShardMerger` releases results
-  in canonical plan order so the merged journal and summary are
-  byte-identical to a serial single-host run whatever the worker count,
-  completion order or mid-run worker loss, with crash requeue/backoff,
-  straggler cut-off and crash-resume via :func:`absorb_shards`
-  (``campaign run --workers host1:port,host2:port``).
+  ssh-spawned worker is a drop-in), through the same dispatcher as the
+  pool, so the journal and summary are byte-identical to a serial
+  single-host run whatever the worker count, completion order or
+  mid-run worker loss (``campaign run --workers host1:port,host2:port``).
 * :mod:`repro.engine.campaign` — the **campaign API**
   (:class:`Campaign`), wired into the CLI as
   ``skeleton-agreement campaign run/status/report --jobs N --backend B``.
@@ -159,11 +163,10 @@ from repro.engine.scheduler import (
     plan_batches,
     round_bucket,
 )
+from repro.engine.dispatch import ShardMerger, absorb_shards
 from repro.engine.remote import (
     RemoteWorkerError,
-    ShardMerger,
     WorkerEndpoint,
-    absorb_shards,
     execute_remote,
     parse_workers,
     probe_worker,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.engine.dispatch import absorb_shards
 from repro.engine.executor import (
     STATUS_ERROR,
     STATUS_OK,
@@ -319,25 +320,23 @@ class Campaign:
         execution: a list of remote worker endpoints (see
         :func:`repro.engine.remote.parse_workers`) the planned batches
         ship to, instead of a local pool.  The plan is cut as for a pool
-        with one job per worker, and results are shard-merged back in
-        plan order, so journal and summary bytes are identical to a
-        serial single-host run; on resume, orphaned per-worker shard
-        files from a crashed coordinator are folded into the journal
+        with one job per worker.  Pool and fleet alike journal in plan
+        order, so journal and summary bytes are identical to a serial
+        single-host run; on resume, the shard file a crashed pool or
+        fleet coordinator left next to the journal is folded into it
         first.
         """
         rec = NULL if recorder is None else recorder
         resolved_workers = self.workers if workers is None else workers
         if resolved_workers is not None and not resolved_workers:
             resolved_workers = None
-        if resolved_workers and resume and self.store.path is not None:
-            # Fold shard records a crashed coordinator never journaled
-            # back into the journal before computing the todo list.
-            from repro.engine.remote import absorb_shards
-
-            absorb_shards(self.store, recorder=rec if rec else None)
         self.refresh()
         latest = self._load_latest()
         if resume:
+            # Fold shard records a crashed coordinator never journaled
+            # into the journal (and the snapshot) before computing the
+            # todo list.
+            absorb_shards(self.store, latest, recorder=rec if rec else None)
             # Resume-by-hash on the cached snapshot (same rule as
             # ResultStore.completed_ids).
             todo = [
@@ -399,46 +398,28 @@ class Campaign:
             if on_result is not None:
                 on_result(result)
 
+        dispatch = dict(
+            timeout=self.timeout if timeout is None else timeout,
+            on_result=journal,
+            backend=resolved_backend,
+            batch_memory=self.batch_memory,
+            pack_widths=self.pack_widths,
+            plan=plan,
+            recorder=rec if rec else None,
+            max_retries=(
+                self.max_retries if max_retries is None else max_retries
+            ),
+            should_stop=should_stop,
+            shard_base=self.store.path,
+        )
         with rec.span("campaign.run_s"):
             if resolved_workers:
                 from repro.engine.remote import execute_remote
 
-                results = execute_remote(
-                    todo,
-                    resolved_workers,
-                    timeout=self.timeout if timeout is None else timeout,
-                    on_result=journal,
-                    backend=resolved_backend,
-                    batch_memory=self.batch_memory,
-                    pack_widths=self.pack_widths,
-                    plan=plan,
-                    recorder=rec if rec else None,
-                    max_retries=(
-                        self.max_retries
-                        if max_retries is None
-                        else max_retries
-                    ),
-                    should_stop=should_stop,
-                    shard_base=self.store.path,
-                )
+                results = execute_remote(todo, resolved_workers, **dispatch)
             else:
                 results = execute_scenarios(
-                    todo,
-                    jobs=resolved_jobs,
-                    timeout=self.timeout if timeout is None else timeout,
-                    on_result=journal,
-                    backend=resolved_backend,
-                    batch_memory=self.batch_memory,
-                    pack_widths=self.pack_widths,
-                    plan=plan,
-                    recorder=rec if rec else None,
-                    max_retries=(
-                        self.max_retries
-                        if max_retries is None
-                        else max_retries
-                    ),
-                    pool=pool,
-                    should_stop=should_stop,
+                    todo, jobs=resolved_jobs, pool=pool, **dispatch
                 )
         by_status = {STATUS_OK: 0, STATUS_ERROR: 0, STATUS_TIMEOUT: 0}
         for result in results:

@@ -11,8 +11,8 @@ byte-identical to the fault-free run.
 Fault kinds (all optional, rates in ``[0, 1]`` per scenario):
 
 * ``kill`` — the worker process hard-exits (``os._exit``) before the
-  victim scenario runs, breaking the pool mid-chunk.  Exercises crash
-  isolation, running-vs-queued attribution and singleton-split retry.
+  victim scenario runs, mid-unit.  Exercises crash isolation, charging
+  the loss to the running unit only, and singleton-split retry.
 * ``stall`` — the worker sleeps past the fleet deadline before the
   victim runs.  Exercises straggler termination and deadline retry.
 * ``transient`` — the worker raises :class:`InjectedFault` before the

@@ -1,11 +1,12 @@
 """Distributed batch execution: ship planned batches to remote workers.
 
-A coordinator (:func:`execute_remote`) distributes the batch scheduler's
-deterministic, self-contained :class:`~repro.engine.scheduler.PlannedBatch`
-units to remote worker processes over a pluggable transport and merges
-their result shards back into one journal whose bytes are identical to a
-single-host serial run — regardless of worker count, completion order,
-or mid-run worker loss.
+A coordinator (:func:`execute_remote`) runs the same dispatch units as
+the local pool — the scheduler's deterministic, self-contained
+:class:`~repro.engine.scheduler.PlannedBatch` units plus chunks of plan
+singles — on remote worker processes over a pluggable transport,
+through the same :class:`~repro.engine.dispatch.Dispatcher`.  Its
+journal bytes are identical to a single-host serial run regardless of
+worker count, completion order, or mid-run worker loss.
 
 Transport
 ---------
@@ -29,43 +30,26 @@ unit.  Results travel as journal *records* (the canonical encoded result
 plus the producing backend — :func:`repro.engine.store.journal_record`),
 so the wire carries exactly what the journal stores.
 
-Determinism
------------
-The journal-byte contract every prior speed PR preserved holds here by
-construction:
-
-* the coordinator plans with ``jobs`` = the fleet size, exactly as the
-  pool plans with its worker count: the jobs count only decides where
-  a group of batch-compatible scenarios is cut into batches, never the
-  order of the scenarios across the plan, so the canonical journal
-  order is the serial single-host order;
-* result records are a pure function of the spec (backend provenance
-  included), so *where* a unit ran never changes its bytes;
-* a :class:`ShardMerger` holds completed results back until every
-  earlier plan position has arrived, releasing them in plan order — the
-  merged journal is byte-identical to the serial run whatever the
-  completion order.
-
-Fault tolerance generalizes the pool logic: a dead worker's in-flight
-unit requeues with capped deterministic backoff
-(:func:`~repro.engine.executor.retry_delay`), splitting to singleton
-chunks on repeated failure; stragglers past the fleet deadline are cut
-off and requeued; when the retry budget is exhausted the unit journals
-retriable ``timeout`` records so a restarted campaign resumes by hash.
-Workers also append every record to a per-worker shard file next to the
-journal (``<journal>.shard-<id>.jsonl`` on the coordinator); a restarted
-campaign folds orphaned shard records back into the journal first
-(:func:`absorb_shards`), so work that completed before a coordinator
-crash is never re-executed.
+Determinism and failures
+------------------------
+The journal-byte contract holds by construction: the coordinator plans
+with ``jobs`` = the fleet size, which only decides where groups are cut
+into batches, never the item order; result records are a pure function
+of the spec, so *where* a unit ran never changes its bytes; and the
+dispatcher releases results in plan order whatever the completion
+order.  Each link is one worker with one unit in flight, handled by the
+dispatcher's failure policy (:mod:`repro.engine.dispatch`): a dropped
+link charges only the unit it was running, which ends with retriable
+``timeout`` records once its retries are spent (the network, not the
+unit, may be to blame).  A worker can also keep its own spool of every
+record it produced (``repro worker --spool``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
-import queue as queue_mod
 import socket
 import threading
 import time
@@ -73,23 +57,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.engine.contracts import (
-    CONTRACTS_ENV,
-    ContractViolation,
-    get as _get_contracts,
-)
-from repro.engine.executor import (
-    ExecutionStopped,
-    STATUS_TIMEOUT,
-    ScenarioResult,
-    _count_result,
-    _execute_chunk,
-    _execute_planned,
-    _split_payload,
-    default_chunksize,
-    is_terminal,
-    retry_delay,
-)
+from repro.engine.contracts import CONTRACTS_ENV, ContractViolation
+from repro.engine.dispatch import Attempt, Dispatcher, Unit, WorkerLost, plan_units
+# Kept reachable as ``repro.engine.remote.absorb_shards``, its long-standing
+# public name.
+from repro.engine.dispatch import absorb_shards  # noqa: F401
+from repro.engine.executor import ScenarioResult, _execute_unit
 from repro.engine.faults import FAULTS_ENV
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.store import decode_result, journal_record
@@ -297,8 +270,9 @@ def _run_unit(msg: dict, collect: bool) -> dict:
     scenario/unit failures — only :class:`ContractViolation` style
     aborts surface as fatal ``error`` replies)."""
     unit_id = msg.get("id")
-    backend = msg.get("backend", "batched")
     try:
+        items = _decode_items(msg["items"])
+        batch = None
         if msg.get("kind") == "batch":
             from repro.engine.scheduler import PlannedBatch
 
@@ -306,14 +280,14 @@ def _run_unit(msg: dict, collect: bool) -> dict:
                 n=int(msg["n"]),
                 bucket=int(msg["bucket"]),
                 width=int(msg["width"]),
-                items=tuple(_decode_items(msg["items"])),
+                items=tuple(items),
             )
-            payload = _execute_planned(
-                batch, backend, bool(msg.get("compact", True)), collect
-            )
-        else:
-            chunk = _decode_items(msg["items"])
-            payload = _execute_chunk(chunk, backend, collect)
+        pairs, meta = _execute_unit(
+            Unit(msg.get("kind", "chunk"), items, batch, unit_id),
+            msg.get("backend", "batched"),
+            bool(msg.get("compact", True)),
+            collect,
+        )
     except ContractViolation as exc:
         return {
             "type": "error",
@@ -333,14 +307,11 @@ def _run_unit(msg: dict, collect: bool) -> dict:
             "kind": type(exc).__name__,
             "error": str(exc),
         }
-    payload, meta = _split_payload(payload)
     reply = {
         "type": "result",
         "id": unit_id,
         "pid": os.getpid(),
-        "records": [
-            [idx, journal_record(result)] for idx, result in payload
-        ],
+        "records": [[idx, journal_record(result)] for idx, result in pairs],
     }
     if meta is not None:
         reply["busy_s"] = meta["busy_s"]
@@ -524,155 +495,142 @@ def worker_serve(
 
 
 # ----------------------------------------------------------------------
-# Deterministic shard-merge.
-# ----------------------------------------------------------------------
-
-
-class ShardMerger:
-    """Release completion-order results in canonical plan order.
-
-    Built from the plan-order index sequence (the order a serial
-    single-host run journals in).  :meth:`add` buffers each arriving
-    ``(index, result)`` and returns the newly releasable contiguous
-    prefix — the merged journal stream is byte-identical to the serial
-    run no matter the arrival order.  Strict by design: an unknown index
-    or a duplicate arrival raises (the dispatcher deduplicates late
-    straggler replies *before* merging).
-    """
-
-    def __init__(self, order: Sequence[int]) -> None:
-        self._pos = {int(idx): pos for pos, idx in enumerate(order)}
-        if len(self._pos) != len(order):
-            raise ValueError("duplicate work indices in merge order")
-        self._held: dict[int, tuple[int, ScenarioResult]] = {}
-        self._next = 0
-        self.total = len(self._pos)
-        self.released = 0
-
-    def add(self, idx: int, result: ScenarioResult) -> list:
-        """Accept one completed result; return the newly released
-        ``(idx, result)`` pairs in plan order (possibly empty)."""
-        pos = self._pos[int(idx)]
-        if pos < self._next or pos in self._held:
-            raise ValueError(f"duplicate result for work index {idx}")
-        self._held[pos] = (int(idx), result)
-        out = []
-        while self._next in self._held:
-            out.append(self._held.pop(self._next))
-            self._next += 1
-            self.released += 1
-        return out
-
-    def drain(self) -> list:
-        """Flush everything still held, in position order (gaps are
-        skipped — their scenarios never completed and will re-run on
-        resume).  Used on interrupt so completed work stays durable."""
-        out = [self._held[pos] for pos in sorted(self._held)]
-        self.released += len(out)
-        self._held.clear()
-        return out
-
-    @property
-    def pending(self) -> int:
-        return len(self._held)
-
-
-# ----------------------------------------------------------------------
 # Coordinator.
 # ----------------------------------------------------------------------
 
-_UNIT_SEQ = threading.Lock()
-_unit_counter = [0]
-
-
-def _next_unit_id() -> str:
-    with _UNIT_SEQ:
-        _unit_counter[0] += 1
-        return f"u{_unit_counter[0]}"
-
-
-@dataclass
-class _Unit:
-    kind: str  # "batch" | "chunk"
-    items: list
-    batch: Any = None
-    id: str = field(default_factory=_next_unit_id)
-
-    def key(self) -> str:
-        return self.items[0][1].scenario_id if self.items else "empty"
-
 
 class _Link:
-    """One live worker connection plus its reader thread."""
+    """One live worker connection as a dispatch worker (see
+    :mod:`repro.engine.dispatch`): one unit in flight at a time, so a
+    slow worker never hoards, and a dropped connection names the unit
+    it was running."""
 
-    def __init__(self, link_id: str, endpoint: WorkerEndpoint,
-                 sock: socket.socket) -> None:
-        self.id = link_id
+    capacity = 1
+    loss_is_terminal = False
+
+    def __init__(self, endpoint: WorkerEndpoint, setup: dict, backend: str,
+                 compact: bool, timeout: float) -> None:
+        """Open the connection, read the worker's hello, send ``setup``
+        and start the reader thread."""
         self.endpoint = endpoint
-        self.sock = sock
-        self.rfile = sock.makefile("r", encoding="utf-8")
-        self.wfile = sock.makefile("w", encoding="utf-8")
-        self.pid: int | None = None
-        self.host: str | None = None
-        self.closed = False
-        self.inflight: tuple | None = None  # (unit, attempts, submit_t)
-        self.dispatched = 0
-        self.requeued = 0
-        self.units_done = 0
-        self.busy_s = 0.0
-        self._thread: threading.Thread | None = None
+        self.backend = backend
+        self.compact = compact
+        self.alive = True
+        self.inflight: Attempt | None = None
+        self.sock = endpoint.establish(timeout)
+        self.rfile = self.sock.makefile("r", encoding="utf-8")
+        self.wfile = self.sock.makefile("w", encoding="utf-8")
+        try:
+            hello = self._read_hello(timeout)
+            self.send(setup)
+        except (OSError, ValueError, RemoteWorkerError) as exc:
+            self.close()
+            raise RemoteWorkerError(
+                f"handshake with worker {endpoint.spec} failed: {exc}"
+            ) from exc
+        self.pid = hello.get("pid")
+        self.host = hello.get("host")
+        threading.Thread(
+            target=self._pump, name=f"remote-{endpoint.spec}", daemon=True
+        ).start()
 
-    def read_hello(self, timeout: float) -> dict:
+    def _read_hello(self, timeout: float) -> dict:
         self.sock.settimeout(timeout)
         try:
             line = self.rfile.readline()
         finally:
             self.sock.settimeout(None)
         if not line:
-            raise RemoteWorkerError(
-                f"worker {self.endpoint.spec} closed before hello"
-            )
+            raise RemoteWorkerError("closed before hello")
         hello = json.loads(line)
         if hello.get("type") != "hello":
             raise RemoteWorkerError(
-                f"worker {self.endpoint.spec} sent {hello.get('type')!r} "
-                "instead of hello"
+                f"sent {hello.get('type')!r} instead of hello"
             )
         if hello.get("protocol") != PROTOCOL:
             raise RemoteWorkerError(
-                f"worker {self.endpoint.spec} speaks protocol "
-                f"{hello.get('protocol')!r}, coordinator speaks {PROTOCOL}"
+                f"speaks protocol {hello.get('protocol')!r}, coordinator "
+                f"speaks {PROTOCOL}"
             )
-        self.pid = hello.get("pid")
-        self.host = hello.get("host")
         return hello
 
-    def start_reader(self, inbox: "queue_mod.Queue") -> None:
-        def _pump() -> None:
-            try:
-                for line in self.rfile:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        msg = json.loads(line)
-                    except ValueError:
-                        continue
-                    inbox.put((self, msg))
-            except (OSError, ValueError):
-                pass
-            inbox.put((self, None))
+    def _pump(self) -> None:
+        try:
+            for line in self.rfile:
+                try:
+                    msg = json.loads(line)
+                except ValueError:
+                    continue
+                attempt = self.inflight
+                if attempt is None or msg.get("id") != attempt.unit.id:
+                    continue
+                self.inflight = None
+                attempt.report(*self._event(msg))
+        except (OSError, ValueError):
+            pass
+        self.alive = False
+        attempt, self.inflight = self.inflight, None
+        if attempt is not None:
+            attempt.report(
+                "lost", (True, f"worker {self.endpoint.spec} connection lost")
+            )
 
-        self._thread = threading.Thread(
-            target=_pump, name=f"remote-{self.id}", daemon=True
-        )
-        self._thread.start()
+    def _event(self, msg: dict) -> tuple:
+        """A worker reply as a dispatch event."""
+        if msg.get("type") == "result":
+            pairs = [
+                (int(idx), decode_result(record))
+                for idx, record in msg.get("records", [])
+            ]
+            meta = None
+            if msg.get("snapshot"):
+                meta = {
+                    "pid": msg.get("pid"),
+                    "busy_s": float(msg.get("busy_s") or 0.0),
+                    "snapshot": msg["snapshot"],
+                }
+            return "done", (pairs, meta)
+        if msg.get("kind") == "contract":
+            return "fatal", ContractViolation(
+                msg.get("contract", "remote"),
+                msg.get("detail", msg.get("error", "remote violation")),
+                dict(msg.get("repro") or {}, worker=self.endpoint.spec),
+            )
+        return "error", (msg.get("kind", "?"), msg.get("error", "?"))
 
     def send(self, msg: dict) -> None:
         _send(self.wfile, msg)
 
+    def submit(self, attempt: Attempt) -> None:
+        self.inflight = attempt
+        try:
+            self.send(_unit_msg(attempt.unit, self.backend, self.compact))
+        except (OSError, ValueError) as exc:
+            self.inflight = None
+            self.close()
+            raise WorkerLost(
+                f"send to {self.endpoint.spec} failed: {exc}"
+            ) from exc
+
+    def cut(self, attempt: Attempt) -> bool:
+        # The remote worker notices on its next send and re-enters its
+        # accept loop.
+        was_alive = self.alive
+        self.close()
+        return was_alive
+
+    def pending(self) -> int:
+        return 0 if self.inflight is None else 1
+
+    def describe(self) -> dict:
+        return {
+            "endpoint": self.endpoint.spec,
+            "pid": self.pid,
+            "host": self.host,
+        }
+
     def close(self) -> None:
-        self.closed = True
+        self.alive = False
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -682,84 +640,20 @@ class _Link:
         except OSError:
             pass
 
-    def info(self) -> dict:
-        return {
-            "endpoint": self.endpoint.spec,
-            "pid": self.pid,
-            "host": self.host,
-            "units": self.units_done,
-            "busy_s": round(self.busy_s, 6),
-            "dispatched": self.dispatched,
-            "requeued": self.requeued,
-        }
 
-
-def _plan_units(
-    indexed: list,
-    backend: str,
-    batch_memory: int | None,
-    pack_widths: bool,
-    plan,
-    chunksize: int | None,
-    fleet: int,
-    recorder,
-) -> list[_Unit]:
-    """The dispatch units, in canonical plan order.
-
-    Batched/auto backends ship whole planned batches (planned with
-    ``jobs=fleet``, which cuts large groups as for a pool of that many
-    jobs and keeps the serial run's item order); plan singles and other
-    backends ship as contiguous order-chunks.
-    """
-    units: list[_Unit] = []
-    if backend in ("batched", "auto"):
-        from repro.engine.scheduler import plan_batches
-
-        if plan is None:
-            plan = plan_batches(
-                indexed,
-                batch_memory=batch_memory,
-                jobs=fleet,
-                pack_widths=pack_widths,
-                recorder=recorder,
-            )
-        for batch in plan.batches:
-            units.append(
-                _Unit(kind="batch", items=list(batch.items), batch=batch)
-            )
-        singles = list(plan.singles)
-        if singles:
-            size = chunksize or default_chunksize(len(singles), fleet)
-            for i in range(0, len(singles), size):
-                units.append(_Unit(kind="chunk", items=singles[i:i + size]))
-    else:
-        size = chunksize or default_chunksize(len(indexed), fleet)
-        for i in range(0, len(indexed), size):
-            units.append(_Unit(kind="chunk", items=indexed[i:i + size]))
-    return units
-
-
-def _unit_msg(unit: _Unit, backend: str, compact: bool) -> dict:
-    if unit.kind == "batch":
-        batch = unit.batch
-        return {
-            "type": "unit",
-            "kind": "batch",
-            "id": unit.id,
-            "n": batch.n,
-            "bucket": batch.bucket,
-            "width": batch.width,
-            "items": _encode_items(batch.items),
-            "backend": backend,
-            "compact": compact,
-        }
-    return {
+def _unit_msg(unit: Unit, backend: str, compact: bool) -> dict:
+    msg = {
         "type": "unit",
-        "kind": "chunk",
+        "kind": unit.kind,
         "id": unit.id,
         "items": _encode_items(unit.items),
         "backend": backend,
+        "compact": compact,
     }
+    if unit.batch is not None:
+        msg.update(n=unit.batch.n, bucket=unit.batch.bucket,
+                   width=unit.batch.width)
+    return msg
 
 
 def execute_remote(
@@ -778,19 +672,15 @@ def execute_remote(
     should_stop: Callable[[], bool] | None = None,
     shard_base: str | os.PathLike | None = None,
     chunksize: int | None = None,
-    poll_interval: float = 0.05,
     connect_timeout: float = CONNECT_TIMEOUT_S,
 ) -> list[ScenarioResult]:
     """Execute scenarios on a fleet of remote workers.
 
-    Mirrors :func:`~repro.engine.executor.execute_scenarios` semantics
-    (``on_result`` journaling, ``max_retries`` with deterministic
-    backoff, a pooled fleet deadline from ``timeout``, ``should_stop``)
-    but delivers results to ``on_result`` in *plan order* through a
-    :class:`ShardMerger`, so the journal is byte-identical to a serial
-    single-host run.  ``shard_base`` (the journal path) enables
-    coordinator-side per-worker shard files for crash-resume via
-    :func:`absorb_shards`.  Returns results in ``specs`` order.
+    The fleet face of :func:`~repro.engine.executor.execute_scenarios`:
+    the same units (planned for ``jobs`` = the fleet size), dispatcher,
+    failure policy and plan-order delivery to ``on_result``, so the
+    journal is byte-identical to a serial single-host run.  Returns
+    results in ``specs`` order.
     """
     spec_list = list(specs)
     if not spec_list:
@@ -798,25 +688,11 @@ def execute_remote(
     endpoints = parse_workers(workers)
     if not endpoints:
         raise ValueError("execute_remote needs at least one worker endpoint")
-
-    if shard_base is not None:
-        # A fresh run owns its shard namespace: anything a previous run
-        # left behind was either absorbed on resume or is superseded.
-        for stale in shard_paths(shard_base):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-
-    indexed = list(enumerate(spec_list))
-    units = _plan_units(
-        indexed, backend, batch_memory, pack_widths, plan, chunksize,
-        len(endpoints), recorder,
+    units = plan_units(
+        list(enumerate(spec_list)), backend, jobs=len(endpoints), plan=plan,
+        batch_memory=batch_memory, pack_widths=pack_widths,
+        chunksize=chunksize, recorder=recorder,
     )
-    order = [idx for unit in units for idx, _spec in unit.items]
-    merger = ShardMerger(order)
-
-    inbox: queue_mod.Queue = queue_mod.Queue()
     setup = {
         "type": "setup",
         "env": {k: os.environ[k] for k in SHIPPED_ENV if k in os.environ},
@@ -824,275 +700,33 @@ def execute_remote(
     }
     links: list[_Link] = []
     try:
-        for i, endpoint in enumerate(endpoints):
-            sock = endpoint.establish(connect_timeout)
-            link = _Link(f"w{i}", endpoint, sock)
-            try:
-                link.read_hello(connect_timeout)
-                link.send(setup)
-            except (OSError, ValueError) as exc:
-                link.close()
-                raise RemoteWorkerError(
-                    f"handshake with worker {endpoint.spec} failed: {exc}"
-                ) from exc
-            link.start_reader(inbox)
-            links.append(link)
+        for endpoint in endpoints:
+            links.append(
+                _Link(endpoint, setup, backend, compact, connect_timeout)
+            )
     except BaseException:
         for link in links:
             link.close()
         for endpoint in endpoints:
             endpoint.close()
         raise
-
-    fleet = len(links)
-    start = time.monotonic()
-    window = (
-        timeout * math.ceil(len(spec_list) / fleet)
-        if timeout is not None
-        else None
+    dispatcher = Dispatcher(
+        units,
+        links,
+        backend=backend,
+        telemetry="remote",
+        on_result=on_result,
+        recorder=recorder,
+        max_retries=max_retries,
+        timeout=timeout,
+        should_stop=should_stop,
+        shard_base=shard_base,
     )
-    deadline = start + window if window is not None else None
-
-    # The work queue: [unit, attempts, not_before] — retried units
-    # re-enter with attempts+1 and a deterministic backoff delay.
-    work: list[list] = [[unit, 0, 0.0] for unit in units]
-    done_units: set[str] = set()
-    collected: dict[int, ScenarioResult] = {}
-    delivered_ids: list[str] = []
-    shard_files: dict[str, Any] = {}
-    abandoned = False
-    stopped = False
-
-    def live() -> list[_Link]:
-        return [link for link in links if not link.closed]
-
-    def deliver(released: list) -> None:
-        for idx, result in released:
-            if recorder:
-                _count_result(recorder, result)
-            collected[idx] = result
-            delivered_ids.append(result.scenario_id)
-            if on_result is not None:
-                on_result(result)
-
-    def append_shard(link: _Link, records: list) -> None:
-        if shard_base is None or not records:
-            return
-        fh = shard_files.get(link.id)
-        if fh is None:
-            path = Path(f"{shard_base}.shard-{link.id}.jsonl")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # "w": a fresh run owns its shards — stale shards from an
-            # earlier run were already absorbed (or superseded).
-            fh = path.open("w", encoding="utf-8")
-            shard_files[link.id] = fh
-        for _idx, record in records:
-            fh.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-        fh.flush()
-
-    def synthesize_failure(unit: _Unit, reason: str) -> None:
-        nonlocal abandoned
-        abandoned = True
-        done_units.add(unit.id)
-        for idx, spec in unit.items:
-            deliver(
-                merger.add(
-                    idx,
-                    ScenarioResult.failure(
-                        spec, reason, status=STATUS_TIMEOUT, backend=backend
-                    ),
-                )
-            )
-
-    def retry_or_fail(link: _Link | None, unit: _Unit, attempts: int,
-                      reason: str) -> None:
-        if link is not None:
-            link.requeued += 1
-        if attempts < max_retries:
-            if recorder:
-                recorder.vinc("remote.batches_requeued")
-            if attempts >= 1 and len(unit.items) > 1:
-                # Repeated failure of a multi-scenario unit: re-run the
-                # members as singleton chunks so the innocent majority
-                # completes and only a deterministic killer fails.
-                if recorder:
-                    recorder.vinc("remote.singleton_splits")
-                for item in unit.items:
-                    single = _Unit(kind="chunk", items=[item])
-                    delay = retry_delay(single.key(), attempts + 1)
-                    work.append(
-                        [single, attempts + 1, time.monotonic() + delay]
-                    )
-            else:
-                delay = retry_delay(unit.key(), attempts + 1)
-                work.append([unit, attempts + 1, time.monotonic() + delay])
-        else:
-            synthesize_failure(
-                unit, f"remote unit failed: {reason} "
-                f"(retry budget {max_retries} exhausted)"
-            )
-
-    def lose_link(link: _Link, reason: str) -> None:
-        if link.closed:
-            entry = link.inflight
-            link.inflight = None
-            if entry is not None and entry[0].id not in done_units:
-                retry_or_fail(link, entry[0], entry[1], reason)
-            return
-        link.close()
-        if recorder:
-            recorder.vinc("remote.workers_lost")
-        entry = link.inflight
-        link.inflight = None
-        if entry is not None and entry[0].id not in done_units:
-            retry_or_fail(link, entry[0], entry[1], reason)
-
-    def handle(link: _Link, msg) -> None:
-        if msg is None:
-            lose_link(link, f"worker {link.endpoint.spec} connection lost")
-            return
-        if link.closed:
-            return  # late straggler reply — its unit was requeued
-        kind = msg.get("type")
-        if kind == "result":
-            entry = link.inflight
-            if (
-                entry is None
-                or entry[0].id != msg.get("id")
-                or msg.get("id") in done_units
-            ):
-                return
-            unit, _attempts, submit_t = entry
-            link.inflight = None
-            done_units.add(unit.id)
-            records = msg.get("records", [])
-            append_shard(link, records)
-            busy = float(msg.get("busy_s") or 0.0)
-            link.units_done += 1
-            link.busy_s += busy
-            if recorder:
-                turnaround = time.monotonic() - submit_t
-                recorder.add_duration("executor.unit_wall_s", turnaround)
-                snapshot = msg.get("snapshot")
-                if snapshot:
-                    recorder.merge(snapshot)
-                    recorder.add_duration("executor.worker_busy_s", busy)
-                    recorder.add_duration(
-                        "executor.queue_wait_s", max(0.0, turnaround - busy)
-                    )
-                # Det plane: every scenario's record is merged exactly
-                # once in a clean run, whatever the fleet size.
-                recorder.inc("remote.shard_records_merged", len(records))
-            released: list = []
-            for idx, record in records:
-                released.extend(merger.add(int(idx), decode_result(record)))
-            deliver(released)
-        elif kind == "error":
-            if msg.get("kind") == "contract":
-                raise ContractViolation(
-                    msg.get("contract", "remote"),
-                    msg.get("detail", msg.get("error", "remote violation")),
-                    dict(msg.get("repro") or {}, worker=link.endpoint.spec),
-                )
-            entry = link.inflight
-            link.inflight = None
-            if entry is not None and entry[0].id not in done_units:
-                retry_or_fail(link, entry[0], entry[1], msg.get("error", "?"))
-
     try:
-        while work or any(link.inflight for link in live()):
-            if should_stop is not None and should_stop():
-                stopped = True
-                raise ExecutionStopped(
-                    "run interrupted by shutdown signal"
-                )
-            if not live():
-                # The whole fleet is gone: journal everything left as
-                # retriable timeouts so a restarted campaign resumes.
-                for unit, _attempts, _not_before in work:
-                    if unit.id not in done_units:
-                        synthesize_failure(
-                            unit, "remote fleet lost (all workers down)"
-                        )
-                work = []
-                break
-            now = time.monotonic()
-            # Dispatch: one in-flight unit per worker, so slow workers
-            # never hoard.
-            idle = [link for link in live() if link.inflight is None]
-            for link in idle:
-                chosen = None
-                for i, entry in enumerate(work):
-                    if entry[2] <= now:
-                        chosen = i
-                        break
-                if chosen is None:
-                    break
-                unit, attempts, _not_before = work.pop(chosen)
-                try:
-                    link.send(_unit_msg(unit, backend, compact))
-                except (OSError, ValueError) as exc:
-                    work.insert(0, [unit, attempts, _not_before])
-                    lose_link(
-                        link,
-                        f"send to {link.endpoint.spec} failed: {exc}",
-                    )
-                    continue
-                link.inflight = (unit, attempts, time.monotonic())
-                link.dispatched += 1
-                if recorder:
-                    recorder.vinc("remote.batches_dispatched")
-            # Receive: block briefly for the first message, then drain.
-            events = []
-            try:
-                events.append(inbox.get(timeout=poll_interval))
-            except queue_mod.Empty:
-                pass
-            while True:
-                try:
-                    events.append(inbox.get_nowait())
-                except queue_mod.Empty:
-                    break
-            for link, msg in events:
-                handle(link, msg)
-            # Fleet deadline: every straggling unit expires together —
-            # cut the link (the remote worker notices on its next send
-            # and re-enters its accept loop) and retry elsewhere.
-            if deadline is not None and time.monotonic() > deadline:
-                stragglers = [link for link in live() if link.inflight]
-                if stragglers:
-                    retried = False
-                    for link in stragglers:
-                        entry = link.inflight
-                        link.close()
-                        if recorder:
-                            recorder.vinc("remote.stragglers_cut")
-                        link.inflight = None
-                        unit, attempts, _submit_t = entry
-                        if unit.id in done_units:
-                            continue
-                        if attempts < max_retries:
-                            retry_or_fail(link, unit, attempts,
-                                          "fleet deadline")
-                            retried = True
-                        else:
-                            synthesize_failure(
-                                unit,
-                                f"no result within {window:.1f}s",
-                            )
-                    if retried:
-                        deadline = time.monotonic() + window
+        collected = dispatcher.run()
     finally:
-        if stopped:
-            # Durability on interrupt: journal every already-completed
-            # result still held back by the merger (plan-order among
-            # themselves; gaps simply re-run on resume).
-            deliver(merger.drain())
         for link in links:
-            if not link.closed:
+            if link.alive:
                 try:
                     link.send({"type": "shutdown"})
                 except (OSError, ValueError):
@@ -1100,94 +734,8 @@ def execute_remote(
                 link.close()
         for endpoint in endpoints:
             endpoint.close()
-        for fh in shard_files.values():
-            try:
-                fh.close()
-            except OSError:
-                pass
-
-    contracts = _get_contracts()
-    if contracts and not abandoned and contracts.sample("shard_merge"):
-        contracts.check_shard_merge(
-            [spec_list[idx].scenario_id for idx in order],
-            delivered_ids,
-            context={"backend": backend, "fleet": fleet},
-        )
-    if shard_base is not None:
-        # Every sharded record is journal-durable once the run returns
-        # normally — drop the redundant shards so only a crashed or
-        # interrupted coordinator leaves any behind for absorb_shards.
-        for path in shard_paths(shard_base):
-            try:
-                path.unlink()
-            except OSError:
-                pass
     if recorder:
-        recorder.vgauge_max("remote.fleet", fleet)
-        recorder.set_info(
-            "remote.workers", [link.info() for link in links]
-        )
-        wall = time.monotonic() - start
-        busy_total = sum(link.busy_s for link in links)
-        if wall > 0 and busy_total:
-            recorder.vgauge_max(
-                "remote.worker_utilization_pct",
-                round(100.0 * busy_total / (fleet * wall), 1),
-            )
+        # Det plane: every scenario's record is merged exactly once in a
+        # clean run, whatever the fleet size.
+        recorder.inc("remote.shard_records_merged", dispatcher.received)
     return [collected[i] for i in range(len(spec_list))]
-
-
-# ----------------------------------------------------------------------
-# Crash-resume: fold orphaned worker shards back into the journal.
-# ----------------------------------------------------------------------
-
-
-def shard_paths(store_path: str | os.PathLike) -> list[Path]:
-    """The per-worker shard files next to a journal path."""
-    path = Path(store_path)
-    return sorted(path.parent.glob(path.name + ".shard-*.jsonl"))
-
-
-def absorb_shards(store, recorder=None) -> int:
-    """Fold per-worker shard records into the store's main journal.
-
-    A coordinator crash can leave results that workers completed (and
-    sharded) but the coordinator never journaled.  Resuming a campaign
-    absorbs those records first — a shard record is appended when the
-    main journal has no terminal record for its scenario — then removes
-    the shard files (their contents are now durable in the journal).
-    Idempotent: re-absorbing already-journaled records is a no-op.
-    Returns the number of records absorbed.
-    """
-    if store.path is None:
-        return 0
-    latest = store.load()
-    absorbed = 0
-    for shard in shard_paths(store.path):
-        try:
-            lines = shard.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                result = decode_result(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                continue  # torn shard tail — the scenario just re-runs
-            prior = latest.get(result.scenario_id)
-            if prior is not None and is_terminal(prior.status):
-                continue
-            if prior is not None and not is_terminal(result.status):
-                continue
-            store.append(result)
-            latest[result.scenario_id] = result
-            absorbed += 1
-        try:
-            shard.unlink()
-        except OSError:
-            pass
-    if recorder and absorbed:
-        recorder.vinc("remote.shard_records_absorbed", absorbed)
-    return absorbed

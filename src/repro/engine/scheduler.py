@@ -353,28 +353,6 @@ def iter_plan(
         yield idx, _run_one(spec, backend, recorder=recorder)
 
 
-def iter_planned(
-    items: Iterable[IndexedSpec],
-    backend: str,
-    batch_memory: int | None = None,
-    compact: bool = True,
-    pack_widths: bool = False,
-    recorder=None,
-) -> Iterator[tuple[int, ScenarioResult]]:
-    """Plan a work list and execute it: :func:`plan_batches` +
-    :func:`iter_plan` in one call.
-
-    ``recorder`` reaches only the *execution* half: pool workers re-plan
-    their own chunk through this helper, and letting that inner plan
-    record scheduler metrics would double-count them (the parent
-    campaign's :func:`plan_batches` is the single scheduler-metrics
-    source)."""
-    yield from iter_plan(
-        plan_batches(items, batch_memory, pack_widths=pack_widths),
-        backend, compact=compact, recorder=recorder,
-    )
-
-
 # ----------------------------------------------------------------------
 # Campaign progress (stderr-only; stdout summaries stay byte-identical)
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Append-only JSONL result store with resume-by-hash.
 
-One line per executed scenario.  The journal is *append-only* and ordered
-by completion (nondeterministic under a parallel run); determinism is
-recovered at read time by keying every record on the scenario's stable
-content-hash id.  :meth:`ResultStore.write_summary` then emits a
-*canonical* summary — records re-ordered into grid order with sorted JSON
-keys — which is byte-identical however many workers produced the journal.
+One line per executed scenario.  The journal is *append-only* and in
+plan order — the dispatcher releases parallel results in the order a
+serial run appends them, so a fresh journal's bytes do not depend on the
+worker count (appends after a resume, or absorbed from a crashed run's
+shard, follow the resumed run instead).  Every record is keyed on the
+scenario's stable content-hash id, and :meth:`ResultStore.write_summary`
+emits a *canonical* summary — records re-ordered into grid order with
+sorted JSON keys — which is byte-identical however the journal was
+produced.
 
 Resume: a campaign asks :meth:`ResultStore.completed_ids` which scenarios
 already have a terminal record (``ok`` or deterministic ``error``;

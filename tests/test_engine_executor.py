@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
+from repro.engine.dispatch import default_chunksize, shard_paths
 from repro.engine.executor import (
-    default_chunksize,
     execute_scenario,
     execute_scenarios,
     require_ok,
@@ -21,21 +28,18 @@ from repro.predicates.psrcs import Psrcs
 
 
 # Module-level so the pool can pickle it to a worker by reference.
-def _chunk_out_of_memory(chunk, backend="reference"):
+def _chunk_out_of_memory(*_args):
     raise MemoryError("worker infra failure")
 
 
-def _chunk_hard_kill(chunk, backend="reference"):
+def _chunk_hard_kill(*_args):
     # Simulate the OOM killer / a segfaulting extension: the worker
-    # vanishes without unwinding Python.  The sleep lets the harvest
-    # loop observe the chunk running first (10ms poll), so the
-    # running-chunk attribution is deterministic.
-    import os
-    import signal
-    import time
-
-    time.sleep(0.3)
+    # vanishes without unwinding Python.
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exit_worker():
+    os._exit(3)
 
 
 class TestExecuteScenario:
@@ -135,7 +139,7 @@ class TestExecuteScenarios:
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", lambda chunk: None
+            executor_module, "_execute_unit", lambda *_args: None
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -150,7 +154,7 @@ class TestExecuteScenarios:
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_out_of_memory
+            executor_module, "_execute_unit", _chunk_out_of_memory
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -162,27 +166,21 @@ class TestExecuteScenarios:
 class TestHardKilledWorkers:
     def test_broken_pool_is_terminal_without_timeout(self, monkeypatch):
         # A hard-killed worker (OOM killer, segfault) must surface as
-        # BrokenProcessPool-style errors and complete the collection
-        # loop — no ``timeout`` required, no eternal hang (the old
-        # multiprocessing.Pool backend's known limit).  Chunks observed
-        # running come back *terminal*; chunks still queued when the
-        # pool broke never executed and stay retriable.
+        # BrokenProcessPool errors and complete the run — no ``timeout``
+        # required, no eternal hang.  Every unit kills the process it
+        # runs on, so every unit ends terminal; the units queued behind
+        # a killer re-run on the replacement process first.
         import repro.engine.executor as executor_module
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_hard_kill
+            executor_module, "_execute_unit", _chunk_hard_kill
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(6)]
         results = execute_scenarios(specs, jobs=2, chunksize=1)
         assert [r.spec for r in results] == specs
         assert all("BrokenProcessPool" in r.error for r in results)
-        assert all(r.status in ("error", "timeout") for r in results)
-        # The two chunks executing when their workers died are terminal;
-        # the trailing chunks never left the submission queue (the call
-        # pipe holds at most workers + 1) and stay retriable.
-        assert results[0].status == "error"
-        assert results[-1].status == "timeout"
+        assert [r.status for r in results] == ["error"] * 6
 
     def test_broken_pool_records_are_not_retried_on_resume(
         self, monkeypatch, tmp_path
@@ -193,7 +191,7 @@ class TestHardKilledWorkers:
         from repro.engine.campaign import Campaign
 
         monkeypatch.setattr(
-            executor_module, "_execute_chunk", _chunk_hard_kill
+            executor_module, "_execute_unit", _chunk_hard_kill
         )
         specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s)
                  for s in range(2)]
@@ -204,6 +202,48 @@ class TestHardKilledWorkers:
         campaign2 = Campaign(specs, store=tmp_path / "j.jsonl", jobs=2)
         report = campaign2.run()
         assert report.executed == 0 and report.skipped == 2
+
+
+def _kill_victim_pair(seed: int = 0, rate: float = 0.5):
+    """Two one-scenario work items of which a ``kill`` plan at ``seed``
+    targets only the first."""
+    from repro.engine.faults import FaultPlan
+
+    plan = FaultPlan(seed=seed, kill=rate)
+    specs = [ScenarioSpec(n=4, k=2, num_groups=2, seed=s) for s in range(40)]
+    victim = next(s for s in specs if plan.wants("kill", s.scenario_id))
+    innocent = next(
+        s for s in specs if not plan.wants("kill", s.scenario_id)
+    )
+    return [victim, innocent]
+
+
+class TestWorkerLossCharging:
+    """A dead process is charged only to the unit it was running."""
+
+    def test_unit_queued_behind_a_killer_runs_uncharged(self, tmp_path):
+        from repro.engine import faults
+        from repro.engine.executor import WorkerPool
+        from repro.engine.faults import FaultPlan
+
+        specs = _kill_victim_pair()
+        FaultPlan.from_seed(
+            0, kill=0.5, ledger=str(tmp_path / "kill.ledger")
+        ).install()
+        pool = WorkerPool(1)
+        try:
+            results = execute_scenarios(
+                specs, jobs=1, chunksize=1, pool=pool, max_retries=0
+            )
+        finally:
+            pool.close(terminate=True)
+            faults.clear()
+        # The killer ends terminal; the unit queued behind it never
+        # started and completes on the replacement process.
+        assert results[0].status == "error"
+        assert "BrokenProcessPool" in results[0].error
+        assert results[1].ok
+        assert pool.generation == 1
 
 
 class TestTimeouts:
@@ -220,23 +260,66 @@ class TestTimeouts:
         assert [r.status for r in result] == ["timeout", "timeout"]
         assert all("no result within" in r.error for r in result)
 
-    def test_fast_chunks_journal_while_slow_chunk_hangs(self):
-        fast = ScenarioSpec(n=4, k=2, num_groups=2)
-        arrived = []
-        results = execute_scenarios(
-            [self.SLOW, fast],
-            jobs=2,
-            chunksize=1,
-            timeout=2.0,
-            on_result=lambda r: arrived.append(r.scenario_id),
+
+
+class TestShardDurability:
+    """Plan-order release holds a finished unit back behind a slower
+    earlier one; the shard file keeps it durable across a crash."""
+
+    def test_killed_coordinator_keeps_finished_later_unit(self, tmp_path):
+        from repro.engine.campaign import Campaign
+        from repro.engine.faults import FaultPlan
+        from repro.engine.scenarios import ScenarioGrid
+        from repro.engine.store import ResultStore
+
+        axes = {"axes": {"n": [4], "k": [2], "seed": [0, 1],
+                         "noise": [0.0]}}
+        grid_json = tmp_path / "grid.json"
+        grid_json.write_text(json.dumps(axes))
+        specs = ScenarioGrid.from_dict(axes).expand()
+        ids = [spec.scenario_id for spec in specs]
+        # The first scenario stalls in its worker; the second does not.
+        seed = next(
+            s for s in range(500)
+            if FaultPlan(seed=s, stall=0.5).victims("stall", ids) == ids[:1]
         )
-        # Grid order is restored in the return value...
-        assert [r.spec for r in results] == [self.SLOW, fast]
-        assert results[1].ok
-        assert results[0].status == "timeout"
-        # ...but the fast scenario was delivered (journaled) first, while
-        # the slow chunk was still running.
-        assert arrived[0] == fast.scenario_id
+        store = tmp_path / "journal.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(__file__).resolve().parents[1] / "src")
+            + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run",
+             "--store", str(store), "--no-progress", "--jobs", "2",
+             "--backend", "reference",
+             "--faults", f"seed={seed},stall=0.5,stall_s=60",
+             "--grid-json", str(grid_json)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(
+                path.read_text().endswith("\n")
+                for path in shard_paths(store)
+            ):
+                assert proc.poll() is None, "campaign exited early"
+                assert time.monotonic() < deadline, "no shard record"
+                time.sleep(0.05)
+        finally:
+            # SIGKILL the coordinator and its pool: nothing unwinds.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        assert not store.exists() or ResultStore(store).load() == {}
+
+        campaign = Campaign(specs, store=store)
+        report = campaign.run(jobs=1)
+        # The finished scenario came back from the shard; only the
+        # stalled one ran again.
+        assert report.executed == 1 and report.skipped == 1
+        assert campaign.status().succeeded
+        assert shard_paths(store) == []
 
 
 def _sleep_chunk(seconds):
@@ -268,29 +351,44 @@ class TestWorkerPool:
         assert first == baseline
         assert second == baseline
 
-    def test_rebuild_skips_stale_generation(self):
+    def test_one_crash_replaces_its_process_once(self):
+        # A dead process fails every call queued on it; however many
+        # resubmits follow, the process is replaced exactly once.
         from repro.engine.executor import WorkerPool
 
         pool = WorkerPool(1)
+        settled = []
+        done = threading.Event()
+
+        def on_done(future, was_running):
+            settled.append(was_running)
+            if len(settled) == 3:
+                done.set()
+
         try:
-            gen = pool.generation
-            pool.rebuild(gen)
-            assert pool.generation == gen + 1
-            # A second victim of the *same* crash reports the old
-            # generation: its rebuild must no-op instead of thrashing.
-            assert pool.rebuild(gen) == 0
-            assert pool.generation == gen + 1
+            pool.submit(0, on_done, _exit_worker)
+            for _ in range(2):
+                pool.submit(0, on_done, _sleep_chunk, 0.0)
+            assert done.wait(30)
+            # Only the call the process was running is named its killer.
+            assert sorted(settled) == [False, False, True]
+            again = [
+                pool.submit(0, lambda *_: None, _sleep_chunk, 0.0)
+                for _ in range(3)
+            ]
+            assert [f.result(timeout=30) for f in again] == ["slept"] * 3
+            assert pool.generation == 1
         finally:
             pool.close(terminate=True)
 
-    def test_closed_pool_refuses_work_and_rebuilds(self):
+    def test_closed_pool_refuses_work(self):
         from repro.engine.executor import WorkerPool
 
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(_sleep_chunk, 0.0)
-        assert pool.rebuild() == 0
+            pool.submit(0, lambda *_: None, _sleep_chunk, 0.0)
+        assert pool.close() == 0
 
     def test_terminate_kills_workers_despite_inherited_sigterm_handler(
         self,
@@ -311,12 +409,12 @@ class TestWorkerPool:
         previous = _signal.signal(_signal.SIGTERM, _graceful)
         try:
             pool = WorkerPool(1)
-            handle = pool.submit(_sleep_chunk, 60.0)
+            handle = pool.submit(0, lambda *_: None, _sleep_chunk, 60.0)
             deadline = time.monotonic() + 10.0
             while not handle.running():
                 assert time.monotonic() < deadline, "chunk never started"
                 time.sleep(0.01)
-            procs = list(pool._executor._processes.values())
+            procs = list(pool._slots[0].executor._processes.values())
             assert procs and all(p.is_alive() for p in procs)
             assert pool.close(terminate=True) >= 1
             deadline = time.monotonic() + 10.0
@@ -327,36 +425,3 @@ class TestWorkerPool:
                 time.sleep(0.05)
         finally:
             _signal.signal(_signal.SIGTERM, previous)
-
-
-class TestStopAwareSleep:
-    """The dispatch loop's idle wait (which also covers retry-backoff
-    windows) must wake promptly when the stop signal flips — a daemon
-    SIGTERM may land mid-backoff."""
-
-    def test_wakes_early_when_stop_flips(self):
-        import threading
-
-        from repro.engine.executor import _stop_aware_sleep
-
-        stop = threading.Event()
-        threading.Timer(0.15, stop.set).start()
-        t0 = time.monotonic()
-        _stop_aware_sleep(30.0, stop.is_set)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 2.0, f"slept {elapsed:.2f}s past the stop signal"
-
-    def test_returns_immediately_when_already_stopped(self):
-        from repro.engine.executor import _stop_aware_sleep
-
-        t0 = time.monotonic()
-        _stop_aware_sleep(30.0, lambda: True)
-        assert time.monotonic() - t0 < 1.0
-
-    def test_sleeps_fully_without_stop_signal(self):
-        from repro.engine.executor import _stop_aware_sleep
-
-        t0 = time.monotonic()
-        _stop_aware_sleep(0.15, None)
-        _stop_aware_sleep(0.15, lambda: False)
-        assert time.monotonic() - t0 >= 0.25

@@ -11,12 +11,17 @@ from pathlib import Path
 
 import pytest
 
+from worker_harness import worker_fleet
+
 from repro.engine import faults as faults_module
 from repro.engine.campaign import Campaign
-from repro.engine.executor import retry_delay
+from repro.engine.dispatch import retry_delay
 from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.store import ResultStore
+
+#: Workers of the drills' remote fleet.
+FLEET = 2
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +31,21 @@ def _clean_fault_state():
     faults_module.clear()
 
 
+@pytest.fixture(
+    params=["pool", pytest.param("fleet", marks=pytest.mark.daemon)]
+)
+def dispatch(request, tmp_path):
+    """Where a drill runs — a 2-job local pool or a 2-worker remote
+    fleet — as ``(Campaign.run keywords, most victims of a worker-ending
+    fault)``.  A kill ends a remote worker for good and a stall past the
+    deadline cuts its link, so a fleet survives ``FLEET - 1`` of them."""
+    if request.param == "pool":
+        yield {"jobs": 2}, None
+        return
+    with worker_fleet(tmp_path, count=FLEET) as fleet:
+        yield {"workers": fleet.endpoints}, FLEET - 1
+
+
 def _specs(count=6, n=5):
     return [
         ScenarioSpec(n=n, k=2, num_groups=2, seed=s, noise=0.1)
@@ -33,21 +53,23 @@ def _specs(count=6, n=5):
     ]
 
 
-def _summary_bytes(tmp_path, tag, specs, **run_kw):
+def _run_bytes(tmp_path, tag, specs, **run_kw):
+    """(journal bytes, canonical summary bytes) of one campaign run."""
     journal = tmp_path / f"{tag}.jsonl"
     summary = tmp_path / f"{tag}.summary.jsonl"
     campaign = Campaign(specs, store=str(journal), **run_kw.pop("campaign_kw", {}))
     campaign.run(**run_kw)
     campaign.write_summary(summary)
-    return summary.read_bytes()
+    return journal.read_bytes(), summary.read_bytes()
 
 
-def _seed_with_victims(kind, rate, ids, want=1):
-    """The smallest plan seed targeting at least ``want`` of ``ids``."""
+def _seed_with_victims(kind, rate, ids, want=1, most=None):
+    """The smallest plan seed targeting at least ``want`` (and at most
+    ``most``) of ``ids``."""
     for seed in range(200):
-        plan = FaultPlan(seed=seed, **{kind: rate})
-        if len(plan.victims(kind, ids)) >= want:
-            return seed, plan.victims(kind, ids)
+        victims = FaultPlan(seed=seed, **{kind: rate}).victims(kind, ids)
+        if want <= len(victims) <= (most or len(ids)):
+            return seed, victims
     raise AssertionError("no seed found — loosen the rate")
 
 
@@ -136,19 +158,20 @@ def test_retry_delay_is_deterministic_capped_and_growing():
 # ----------------------------------------------------------------------
 # Reconvergence: faulted runs end byte-identical to fault-free runs
 # ----------------------------------------------------------------------
-def test_transient_fault_retried_to_identical_summary(tmp_path):
+def test_transient_fault_retried_to_identical_bytes(tmp_path, dispatch):
+    run_kw, _most = dispatch
     specs = _specs(6)
     ids = [s.scenario_id for s in specs]
     seed, victims = _seed_with_victims("transient", 0.4, ids)
-    clean = _summary_bytes(tmp_path, "clean", specs, jobs=2)
+    clean = _run_bytes(tmp_path, "clean", specs, jobs=2)
 
     ledger = tmp_path / "transient.ledger"
     FaultPlan.from_seed(
         seed, transient=0.4, ledger=str(ledger)
     ).install()
-    faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2,
-        campaign_kw={"max_retries": 2},
+    faulted = _run_bytes(
+        tmp_path, "faulted", specs, campaign_kw={"max_retries": 2},
+        **run_kw,
     )
     assert faulted == clean
     fired = ledger.read_text().splitlines()
@@ -157,35 +180,51 @@ def test_transient_fault_retried_to_identical_summary(tmp_path):
     )
 
 
-def test_worker_kill_fault_retried_to_identical_summary(tmp_path):
+def test_worker_kill_fault_retried_to_identical_bytes(tmp_path, dispatch):
+    run_kw, most = dispatch
     specs = _specs(6)
     ids = [s.scenario_id for s in specs]
-    seed, victims = _seed_with_victims("kill", 0.3, ids)
-    clean = _summary_bytes(tmp_path, "clean", specs, jobs=2)
+    seed, victims = _seed_with_victims("kill", 0.3, ids, most=most)
+    clean = _run_bytes(tmp_path, "clean", specs, jobs=2)
 
     ledger = tmp_path / "kill.ledger"
     FaultPlan.from_seed(seed, kill=0.3, ledger=str(ledger)).install()
-    faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2,
-        campaign_kw={"max_retries": 2},
+    faulted = _run_bytes(
+        tmp_path, "faulted", specs, campaign_kw={"max_retries": 2},
+        **run_kw,
     )
     assert faulted == clean
     assert ledger.read_text().count("kill:") == len(victims)
 
 
-def test_stall_fault_deadline_retried_to_identical_summary(tmp_path):
+def test_stall_fault_deadline_retried_to_identical_bytes(tmp_path, dispatch):
+    run_kw, most = dispatch
     specs = _specs(4, n=4)
     ids = [s.scenario_id for s in specs]
-    seed, _ = _seed_with_victims("stall", 0.3, ids)
-    clean = _summary_bytes(tmp_path, "clean", specs, jobs=2)
+    seed, _ = _seed_with_victims("stall", 0.3, ids, most=most)
+    clean = _run_bytes(tmp_path, "clean", specs, jobs=2)
 
     ledger = tmp_path / "stall.ledger"
     FaultPlan.from_seed(
         seed, stall=0.3, stall_s=4.0, ledger=str(ledger)
     ).install()
-    faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2, timeout=0.5,
-        campaign_kw={"max_retries": 2},
+    faulted = _run_bytes(
+        tmp_path, "faulted", specs, timeout=0.5,
+        campaign_kw={"max_retries": 2}, **run_kw,
+    )
+    assert faulted == clean
+
+
+def test_drop_meta_fault_tolerated_with_metrics(tmp_path, dispatch):
+    from repro.engine.telemetry import Recorder
+
+    run_kw, _most = dispatch
+    specs = _specs(6)
+    clean = _run_bytes(tmp_path, "clean", specs, jobs=2)
+    FaultPlan.from_seed(0, drop_meta=1.0).install()
+    recorder = Recorder()
+    faulted = _run_bytes(
+        tmp_path, "faulted", specs, recorder=recorder, **run_kw
     )
     assert faulted == clean
 
@@ -194,7 +233,7 @@ def test_torn_journal_write_heals_on_resume(tmp_path):
     specs = _specs(5)
     ids = [s.scenario_id for s in specs]
     seed, victims = _seed_with_victims("torn", 0.3, ids)
-    clean = _summary_bytes(tmp_path, "clean", specs)
+    _, clean = _run_bytes(tmp_path, "clean", specs)
 
     journal = tmp_path / "faulted.jsonl"
     ledger = tmp_path / "torn.ledger"
@@ -217,19 +256,6 @@ def test_torn_journal_write_heals_on_resume(tmp_path):
     # The raw journal really does carry healed torn fragments.
     raw = journal.read_bytes()
     assert raw.endswith(b"\n")
-
-
-def test_drop_meta_fault_tolerated_with_metrics(tmp_path):
-    from repro.engine.telemetry import Recorder
-
-    specs = _specs(6)
-    clean = _summary_bytes(tmp_path, "clean", specs, jobs=2)
-    FaultPlan.from_seed(0, drop_meta=1.0).install()
-    recorder = Recorder()
-    faulted = _summary_bytes(
-        tmp_path, "faulted", specs, jobs=2, recorder=recorder
-    )
-    assert faulted == clean
 
 
 # ----------------------------------------------------------------------

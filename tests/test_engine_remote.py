@@ -17,17 +17,19 @@ from worker_harness import worker_fleet
 
 from repro.engine import faults as _faults
 from repro.engine.campaign import Campaign
-from repro.engine.executor import default_chunksize
+from repro.engine.dispatch import (
+    ShardMerger,
+    absorb_shards,
+    default_chunksize,
+    plan_units,
+    shard_paths,
+)
 from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
     RemoteWorkerError,
-    ShardMerger,
     WorkerEndpoint,
-    _plan_units,
-    absorb_shards,
     execute_remote,
     parse_workers,
-    shard_paths,
 )
 from repro.engine.scenarios import ScenarioGrid, ScenarioSpec
 from repro.engine.scheduler import plan_batches
@@ -131,7 +133,8 @@ class TestShardMerger:
 
 
 # ----------------------------------------------------------------------
-# Dispatch units — the fleet ships the pool's plan for jobs = fleet size.
+# Dispatch units — one planner: the fleet ships the pool's plan for
+# jobs = fleet size.
 # ----------------------------------------------------------------------
 
 
@@ -161,9 +164,7 @@ class TestPlanUnits:
     @pytest.mark.parametrize("fleet", [1, 2, 3, 4])
     def test_batches_are_the_pool_plan_for_the_fleet_size(self, fleet):
         indexed = _fleet_work_list()
-        units = _plan_units(
-            indexed, "batched", None, False, None, None, fleet, None
-        )
+        units = plan_units(indexed, "batched", jobs=fleet)
         plan = plan_batches(indexed, jobs=fleet)
         batches = [u.batch for u in units if u.kind == "batch"]
         assert batches == list(plan.batches)
@@ -186,18 +187,14 @@ class TestPlanUnits:
         # that plan, not re-plan for its own size.
         indexed = _fleet_work_list()
         plan = plan_batches(indexed, jobs=4)
-        units = _plan_units(
-            indexed, "batched", None, False, plan, None, 2, None
-        )
+        units = plan_units(indexed, "batched", jobs=2, plan=plan)
         assert [u.batch for u in units if u.kind == "batch"] == list(
             plan.batches
         )
 
     def test_unbatched_backends_ship_contiguous_chunks(self):
         indexed = _fleet_work_list()
-        units = _plan_units(
-            indexed, "reference", None, False, None, None, 3, None
-        )
+        units = plan_units(indexed, "reference", jobs=3)
         size = default_chunksize(len(indexed), 3)
         assert all(u.kind == "chunk" for u in units)
         assert [u.items for u in units] == [
@@ -403,7 +400,7 @@ class TestAbsorbShards:
         assert not shard.exists()
         snap = rec.snapshot()
         assert snap["volatile"]["counters"][
-            "remote.shard_records_absorbed"
+            "executor.shard_records_absorbed"
         ] == 6
 
         campaign = Campaign(grid, store=crashed)
@@ -411,6 +408,27 @@ class TestAbsorbShards:
         assert status.missing == 0
         # Absorbing again is a no-op.
         assert absorb_shards(store) == 0
+
+    @pytest.mark.parametrize("workers", [None, ["127.0.0.1:1"]])
+    def test_resume_without_shards_reads_the_journal_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # Every resume of an on-disk journal looks for shards; with none
+        # present it must not cost a second journal read, pool or fleet.
+        store = tmp_path / "j.jsonl"
+        Campaign(small_grid(), store=store).run(jobs=1, backend="auto")
+        loads = []
+        real_load = ResultStore.load
+
+        def counting_load(self, *args, **kwargs):
+            loads.append(self.path)
+            return real_load(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "load", counting_load)
+        campaign = Campaign(small_grid(), store=store, workers=workers)
+        report = campaign.run(backend="auto")
+        assert report.executed == 0
+        assert len(loads) == 1
 
     def test_terminal_journal_records_win_over_shards(self, tmp_path):
         grid = small_grid()

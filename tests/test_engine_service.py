@@ -51,9 +51,9 @@ def _solo_run(tmp_path: Path, name: str, scenarios, backend: str):
 
 
 def _journal_lines(path: Path) -> list[str]:
-    """Journal records, order-normalized: completion order is execution
-    shape, record bytes are the contract (the repo-wide idiom)."""
-    return sorted(path.read_text(encoding="utf-8").splitlines())
+    """Journal records in journal order: a served campaign releases its
+    results in plan order, exactly as a serial run appends them."""
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 def _submit_specs(client, specs, store: Path, backend: str, **extra) -> dict:
@@ -173,8 +173,9 @@ class TestServedEquivalence:
 class TestServedRobustness:
     def test_worker_kill_reconverges_to_fault_free_bytes(self, tmp_path):
         """A seeded worker kill during a served campaign: the bounded-
-        retry path (singleton splits + generation-aware pool rebuild)
-        reconverges to the fault-free journal bytes."""
+        retry path (the killer's unit re-run as singletons on a
+        replacement process) reconverges to the fault-free journal
+        bytes."""
         specs = [s for s in HETERO_GRID if s.noise in (0.0, 0.5)][:12]
         ids = [s.scenario_id for s in specs]
         fault_seed = next(
@@ -245,6 +246,42 @@ class TestServedRobustness:
             assert final["report"]["skipped"] >= done_before
             assert final["status"]["state"] == "ok"
             assert final["status"]["total"] == len(specs)
+
+
+class TestShutdownRace:
+    def test_stop_journals_nothing_after_shutdown(self, tmp_path):
+        """``shutdown(drain=False)`` sets the stop flag and then kills
+        the pool; units it breaks mid-run must not be journaled as
+        errors or timeouts.  Called from inside ``on_result``, as a
+        SIGTERM lands between two journal appends."""
+        from repro.engine.executor import ExecutionStopped
+        from repro.engine.service import CampaignService
+
+        grid = ScenarioGrid(n=[16], k=[2], seed=range(240), noise=[0.1])
+        store = tmp_path / "stopped.jsonl"
+        service = CampaignService(jobs=2, slots=1)
+        seen = []
+
+        def on_result(result):
+            seen.append(result)
+            if len(seen) == 1:
+                service.shutdown(drain=False)
+
+        campaign = Campaign(grid, store=str(store), jobs=2)
+        with pytest.raises(ExecutionStopped):
+            campaign.run(
+                pool=service.pool, should_stop=service._stop.is_set,
+                on_result=on_result,
+            )
+        assert seen and all(result.ok for result in seen)
+        journaled = ResultStore(str(store)).load()
+        assert all(result.ok for result in journaled.values())
+        # A resume re-runs every other scenario.
+        resumed = Campaign(grid, store=str(store), backend="batched")
+        report = resumed.run()
+        assert report.skipped == len(journaled)
+        assert report.executed == len(resumed.specs) - len(journaled)
+        assert resumed.status().succeeded
 
 
 class TestConnectExitCodes:
