@@ -10,11 +10,11 @@ a TCP link to a ``repro worker`` (:mod:`repro.engine.remote`).  A worker
 has a ``capacity`` (the running unit plus those queued behind it), says
 whether losing it is terminal for the unit it ran
 (``loss_is_terminal``), whether it is ``alive``, and offers
-``submit(attempt)`` (raising :class:`WorkerLost` if the unit never
-started), ``cut(attempt)``, ``pending()`` and ``describe()``.  It
-reports each :class:`Attempt` once, from any thread: ``"done"``,
-``"error"`` (a unit error's type name and message), ``"fatal"`` (a
-:class:`~repro.engine.contracts.ContractViolation`) or ``"lost"``.
+``submit(attempt)``, ``cut(attempt)``, ``pending()`` and
+``describe()``.  It reports each :class:`Attempt` once, from any
+thread: ``"done"``, ``"error"`` (a unit error's type name and
+message), ``"fatal"`` (a :class:`~repro.engine.contracts.ContractViolation`)
+or ``"lost"`` (whether the unit was running, and why).
 
 The failure policy, the same for both worker kinds:
 
@@ -35,8 +35,9 @@ The failure policy, the same for both worker kinds:
 Results reach ``on_result`` in plan order through a
 :class:`ShardMerger`, so a parallel journal is byte-identical to the
 serial one.  Results held back behind an unfinished earlier unit go to
-a shard file next to the journal, which :func:`absorb_shards` folds
-back on resume, so a coordinator crash loses no finished work.
+a shard file next to the journal (:func:`shard_path`), which
+:func:`absorb_shards` folds back on resume, so a coordinator crash
+loses no finished work.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ from repro.engine.store import decode_result, journal_line
 #: Unit failures a retry would reproduce exactly: a task or result that
 #: cannot be pickled, or a worker entry point called with the wrong
 #: arguments.
-DETERMINISTIC_ERRORS = frozenset({"PicklingError", "AttributeError", "TypeError"})
+DETERMINISTIC_ERRORS = frozenset(
+    {"PicklingError", "AttributeError", "TypeError"}
+)
 
 _RETRY_BASE_S = 0.05
 _RETRY_CAP_S = 2.0
@@ -201,11 +204,6 @@ class ShardMerger:
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
-class WorkerLost(Exception):
-    """Raised by a worker's ``submit`` when it can no longer take units;
-    the unit never started and goes back to the queue uncharged."""
-
-
 class Attempt:
     """One dispatch of a unit to a worker.  ``tries`` counts the
     attempts already charged to the unit; ``handle`` is the worker's
@@ -291,10 +289,6 @@ class Dispatcher:
 
     # -- the loop -----------------------------------------------------
     def run(self) -> dict[int, ScenarioResult]:
-        if self.shard_base is not None:
-            # A fresh run owns its shard namespace: anything an earlier
-            # run left behind was absorbed on resume or is superseded.
-            _unlink(shard_paths(self.shard_base))
         start = time.monotonic()
         deadline = start + self.window if self.window is not None else None
         try:
@@ -365,11 +359,7 @@ class Dispatcher:
             entry = self._queue.pop(ready)
             worker = min(room, key=lambda w: (self._load[w], w.pending()))
             attempt = Attempt(entry[0], entry[1], worker, self._inbox)
-            try:
-                worker.submit(attempt)
-            except WorkerLost:
-                self._queue.insert(0, entry)
-                continue
+            worker.submit(attempt)
             self._live.add(attempt)
             self._load[worker] += 1
             self._stats[worker]["dispatched"] += 1
@@ -499,7 +489,9 @@ class Dispatcher:
 
     def _write_shard(self, results: list[ScenarioResult]) -> None:
         if self._shard is None:
-            path = Path(f"{self.shard_base}.shard-{os.getpid()}.jsonl")
+            # "w": an earlier run's shard was absorbed on resume or is
+            # superseded by this run.
+            path = shard_path(self.shard_base)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._shard = path.open("w", encoding="utf-8")
         self._shard.write("".join(journal_line(r) + "\n" for r in results))
@@ -528,9 +520,9 @@ class Dispatcher:
                 self._delivered_ids,
                 context=context,
             )
-        if self._shard is not None:
-            # Every sharded result is journaled once the run returns.
-            _unlink([Path(self._shard.name)])
+        if self.shard_base is not None:
+            # Every held result is journaled once the run returns.
+            _unlink(shard_path(self.shard_base))
         rec = self.recorder
         if rec:
             prefix = self.prefix
@@ -556,18 +548,16 @@ class Dispatcher:
 # ----------------------------------------------------------------------
 # Crash-resume: fold coordinator shards back into the journal.
 # ----------------------------------------------------------------------
-def _unlink(paths) -> None:
-    for path in paths:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
 
-def shard_paths(store_path: str | os.PathLike) -> list[Path]:
-    """The coordinator shard files next to a journal path."""
-    path = Path(store_path)
-    return sorted(path.parent.glob(path.name + ".shard-*.jsonl"))
+def shard_path(store_path: str | os.PathLike) -> Path:
+    """The coordinator shard file next to a journal path."""
+    return Path(f"{store_path}.shard.jsonl")
 
 
 def absorb_shards(store, latest: dict | None = None, recorder=None) -> int:
@@ -577,39 +567,35 @@ def absorb_shards(store, latest: dict | None = None, recorder=None) -> int:
     sharded while held back for plan order) but never reached the
     journal.  Resuming a campaign absorbs those records first — a shard
     record is appended when the journal has no terminal record for its
-    scenario — then removes the shard files.  ``latest`` is the
-    caller's journal snapshot (read only when a shard exists otherwise)
-    and is updated in place.  Idempotent: re-absorbing
-    already-journaled records is a no-op.  Returns the number of
-    records absorbed.
+    scenario — then removes the shard file.  ``latest`` is the caller's
+    journal snapshot (read here only if a shard exists) and is updated
+    in place.  Idempotent: re-absorbing already-journaled records is a
+    no-op.  Returns the number of records absorbed.
     """
     if store.path is None:
         return 0
-    shards = shard_paths(store.path)
-    if not shards:
-        return 0
+    shard = shard_path(store.path)
+    try:
+        lines = shard.read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return 0  # no shard: the common case costs one failed open
     if latest is None:
         latest = store.load()
     absorbed = 0
-    for shard in shards:
+    for line in lines:
         try:
-            lines = shard.read_text(encoding="utf-8").splitlines()
-        except OSError:
+            result = decode_result(json.loads(line))
+        except (ValueError, KeyError, TypeError):
+            continue  # torn shard tail — the scenario just re-runs
+        prior = latest.get(result.scenario_id)
+        if prior is not None and (
+            is_terminal(prior.status) or not is_terminal(result.status)
+        ):
             continue
-        for line in lines:
-            try:
-                result = decode_result(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                continue  # torn shard tail — the scenario just re-runs
-            prior = latest.get(result.scenario_id)
-            if prior is not None and (
-                is_terminal(prior.status) or not is_terminal(result.status)
-            ):
-                continue
-            store.append(result)
-            latest[result.scenario_id] = result
-            absorbed += 1
-        _unlink([shard])
+        store.append(result)
+        latest[result.scenario_id] = result
+        absorbed += 1
+    _unlink(shard)
     if recorder and absorbed:
         recorder.vinc("executor.shard_records_absorbed", absorbed)
     return absorbed

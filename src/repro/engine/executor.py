@@ -333,8 +333,6 @@ def _terminate_pool(executor: ProcessPoolExecutor) -> int:
     return terminated
 
 
-
-
 class _Slot:
     """One pool process: a single-process executor and its unfinished
     futures in submission order."""
@@ -370,7 +368,9 @@ class WorkerPool:
     :meth:`cut` kills and replaces the process running a straggler.
     ``generation`` counts replacements.  ``close`` ends the pool
     (``terminate=True`` kills live workers — the service's fast
-    shutdown); a closed pool refuses new work.
+    shutdown); a closed pool refuses new work.  On a shared pool, units
+    of other campaigns queued behind a crash or a cut never started, so
+    they run again uncharged.
     """
 
     def __init__(self, workers: int, mp_context=None) -> None:

@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.contracts import CONTRACTS_ENV, ContractViolation
-from repro.engine.dispatch import Attempt, Dispatcher, Unit, WorkerLost, plan_units
+from repro.engine.dispatch import Attempt, Dispatcher, Unit, plan_units
 # Kept reachable as ``repro.engine.remote.absorb_shards``, its long-standing
 # public name.
 from repro.engine.dispatch import absorb_shards  # noqa: F401
@@ -608,9 +608,7 @@ class _Link:
         except (OSError, ValueError) as exc:
             self.inflight = None
             self.close()
-            raise WorkerLost(
-                f"send to {self.endpoint.spec} failed: {exc}"
-            ) from exc
+            attempt.report("lost", (False, f"send failed: {exc}"))
 
     def cut(self, attempt: Attempt) -> bool:
         # The remote worker notices on its next send and re-enters its

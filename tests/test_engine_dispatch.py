@@ -12,12 +12,7 @@ import time
 import pytest
 
 from repro.engine.contracts import ContractViolation
-from repro.engine.dispatch import (
-    Dispatcher,
-    Unit,
-    WorkerLost,
-    retry_delay,
-)
+from repro.engine.dispatch import Dispatcher, Unit, retry_delay
 from repro.engine.executor import ExecutionStopped, ScenarioResult
 from repro.engine.scenarios import ScenarioSpec
 
@@ -33,7 +28,8 @@ def _chunks(specs, size=1) -> list[Unit]:
 
 
 def _ok(attempt) -> tuple:
-    return [(idx, ScenarioResult(spec=spec)) for idx, spec in attempt.unit.items], None
+    pairs = [(idx, ScenarioResult(spec=spec)) for idx, spec in attempt.unit.items]
+    return pairs, None
 
 
 class FakeWorker:
@@ -53,8 +49,6 @@ class FakeWorker:
         self.cuts: list = []
 
     def submit(self, attempt) -> None:
-        if not self.alive:
-            raise WorkerLost(self.name)
         self.submitted.append(
             (attempt.unit.items[0][0], attempt.tries, time.monotonic())
         )

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
-from repro.engine.dispatch import default_chunksize, shard_paths
+from repro.engine.dispatch import default_chunksize, shard_path
 from repro.engine.executor import (
     execute_scenario,
     execute_scenarios,
@@ -300,10 +300,8 @@ class TestShardDurability:
         )
         try:
             deadline = time.monotonic() + 60
-            while not any(
-                path.read_text().endswith("\n")
-                for path in shard_paths(store)
-            ):
+            shard = shard_path(store)
+            while not (shard.exists() and shard.read_text().endswith("\n")):
                 assert proc.poll() is None, "campaign exited early"
                 assert time.monotonic() < deadline, "no shard record"
                 time.sleep(0.05)
@@ -319,7 +317,7 @@ class TestShardDurability:
         # stalled one ran again.
         assert report.executed == 1 and report.skipped == 1
         assert campaign.status().succeeded
-        assert shard_paths(store) == []
+        assert not shard.exists()
 
 
 def _sleep_chunk(seconds):

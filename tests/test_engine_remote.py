@@ -22,7 +22,7 @@ from repro.engine.dispatch import (
     absorb_shards,
     default_chunksize,
     plan_units,
-    shard_paths,
+    shard_path,
 )
 from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
@@ -256,7 +256,7 @@ class TestRemoteByteIdentity:
                     f"summary bytes diverged with {count} workers"
                 )
                 # Clean completion leaves no orphaned shard files.
-                assert shard_paths(store) == []
+                assert not shard_path(store).exists()
             assert fleet.stop() == [0, 0, 0, 0]
 
     def test_remote_telemetry_counts_every_record_once(self, tmp_path):
@@ -391,7 +391,7 @@ class TestAbsorbShards:
         # codec, so real shard files round-trip through this path).
         crashed = tmp_path / "crashed.jsonl"
         crashed.write_text("".join(line + "\n" for line in lines[:6]))
-        shard = tmp_path / "crashed.jsonl.shard-w0.jsonl"
+        shard = shard_path(crashed)
         shard.write_text("".join(line + "\n" for line in lines[6:]))
 
         store = ResultStore(crashed)
@@ -438,7 +438,7 @@ class TestAbsorbShards:
 
         target = tmp_path / "j.jsonl"
         target.write_text("".join(line + "\n" for line in lines))
-        shard = tmp_path / "j.jsonl.shard-w1.jsonl"
+        shard = shard_path(target)
         # Duplicate + torn tail: neither may dirty the journal.
         shard.write_text(lines[0] + "\n" + '{"torn": ')
         store = ResultStore(target)
