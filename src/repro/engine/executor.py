@@ -450,6 +450,7 @@ class WorkerPool:
 
 def _settled(attempt, future, was_running: bool) -> None:
     """Report a pool future's outcome to its dispatch attempt."""
+    attempt.handle = None  # the future holds this callback: no cycle
     if future.cancelled():
         attempt.report("lost", (False, "cancelled"))
         return
