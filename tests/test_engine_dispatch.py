@@ -246,15 +246,19 @@ class TestStop:
         stop = threading.Event()
         held = {}
 
+        def shutdown():
+            # A shutdown sets the stop flag, then kills the worker under
+            # unit 0: its loss reaches the dispatcher while it waits,
+            # before its next stop poll, and must not be classified.
+            stop.set()
+            held[0].report("lost", (True, "BrokenProcessPool: closed"))
+
         def behave(worker, attempt):
             idx = attempt.unit.items[0][0]
             held[idx] = attempt
             if idx == 1:
                 attempt.report("done", _ok(attempt))
-                # Unit 0 is lost only after the stop: never classified.
-                threading.Timer(0.05, stop.set).start()
-                threading.Timer(0.1, held[0].report, args=(
-                    "lost", (True, "BrokenProcessPool: closed"))).start()
+                threading.Timer(0.02, shutdown).start()
 
         workers = [FakeWorker(f"f{i}", behave=behave) for i in range(2)]
         delivered = []
@@ -271,13 +275,17 @@ class TestStop:
         assert all(r.ok for r in delivered)
 
     def test_stop_during_a_backoff_wait_is_honoured_promptly(self):
+        # A unit whose fourth backoff lasts at least 0.5 s: the stop
+        # lands 0.05 s into it and must be seen within a few stop polls
+        # (``STOP_POLL_S``), not when the backoff ends.
+        spec = next(s for s in _specs(200)
+                    if retry_delay(s.scenario_id, 4) >= 0.5)
         stop = threading.Event()
         stopped_at = []
 
         def always_fail(worker, attempt):
             attempt.report("error", ("InjectedFault", "again"))
             if attempt.tries == 3:
-                # The next backoff is at least 0.2 s: stop 0.05 s into it.
                 def flip():
                     stopped_at.append(time.monotonic())
                     stop.set()
@@ -286,8 +294,7 @@ class TestStop:
 
         worker = FakeWorker(behave=always_fail)
         with pytest.raises(ExecutionStopped):
-            _run(_chunks(_specs(1)), [worker], should_stop=stop.is_set,
-                 max_retries=20)
+            _run([Unit("chunk", [(0, spec)])], [worker],
+                 should_stop=stop.is_set, max_retries=20)
         latency = time.monotonic() - stopped_at[0]
-        assert latency < 0.15, f"stop honoured {latency * 1000:.0f} ms late"
-        assert retry_delay(_specs(1)[0].scenario_id, 4) >= 0.2
+        assert latency < 0.25, f"stop honoured {latency * 1000:.0f} ms late"

@@ -379,6 +379,45 @@ class TestWorkerPool:
         finally:
             pool.close(terminate=True)
 
+    def test_concurrent_campaigns_share_a_pool_exactly(self):
+        # Four dispatching threads (more than cores) share two pool
+        # processes under a short switch interval: a lost update to the
+        # pool's per-process bookkeeping would hang a run or reorder
+        # its journal lines.
+        import sys
+
+        from repro.engine.executor import WorkerPool
+        from repro.engine.store import journal_line
+
+        specs = [ScenarioSpec(n=n, k=2, num_groups=2, seed=s, noise=0.1)
+                 for n in (5, 6, 7) for s in range(4)]
+        expected = []
+        execute_scenarios(specs, backend="batched",
+                          on_result=lambda r: expected.append(journal_line(r)))
+        lines = {i: [] for i in range(4)}
+        pool = WorkerPool(2)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=execute_scenarios, args=(specs,),
+                                 kwargs=dict(
+                                     jobs=2, chunksize=1, backend="batched",
+                                     pool=pool, on_result=lambda r, i=i:
+                                     lines[i].append(journal_line(r))))
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            pool.close(terminate=True)
+        assert all(lines[i] == expected for i in range(4))
+        assert pool.generation == 0
+
     def test_closed_pool_refuses_work(self):
         from repro.engine.executor import WorkerPool
 
