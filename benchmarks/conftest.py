@@ -10,7 +10,9 @@ Sections in results.txt are keyed by their banner line (``TAG — desc``):
 re-emitting a table replaces the previous copy in place, so any pytest
 invocation that happens to collect benchmarks — not just the canonical
 ``pytest benchmarks -q --benchmark-only`` run — leaves exactly one copy
-of each table instead of appending duplicates.
+of each table instead of appending duplicates.  A session that collected
+the whole directory and passed every benchmark also drops the sections
+no test emitted, so a retitled table does not leave its old copy behind.
 
 :func:`record_fastpath` additionally maintains a *machine-readable* perf
 trajectory in ``benchmarks/BENCH_FASTPATH.json`` (per-workload wall-clock
@@ -55,20 +57,73 @@ def _render(sections: list[tuple[str, list[str]]]) -> str:
     return "".join("\n".join(lines).rstrip() + "\n\n" for _, lines in sections)
 
 
-def pytest_configure(config):
-    # Canonical full runs start from a fresh file so renamed/retired
-    # benchmarks don't leave stale sections behind.  Only whole-directory
-    # sessions truncate: a selective `pytest benchmarks/test_x.py
-    # --benchmark-only` must not wipe the other sections (the upsert in
-    # emit() keeps them duplicate-free either way).
-    if not config.getoption("--benchmark-only", default=False):
-        return
-    bench_dir = RESULTS_PATH.parent.resolve()
+def _whole_directory(config, bench_dir: pathlib.Path) -> bool:
+    """Whether the session collects the whole benchmarks directory."""
+    bench_dir = bench_dir.resolve()
     targets = [
         pathlib.Path(arg.split("::", 1)[0]).resolve()
         for arg in (config.args or ["."])
     ]
-    if all(t in (bench_dir, bench_dir.parent) for t in targets):
+    return all(t in (bench_dir, bench_dir.parent) for t in targets)
+
+
+class ResultsSections:
+    """Keeps ``results.txt`` free of stale tables.
+
+    Records the banners emitted in this session and whether every
+    benchmark it collected ran and passed (none failed, skipped or
+    deselected).  After a whole-directory session in which every
+    benchmark passed, every live table has been re-emitted, so the
+    sections no test emitted are dropped: a retitled table does not
+    leave its old copy behind.  Banners, not tags, are the key, since
+    one tag may own several tables.  A skipped benchmark keeps every
+    section: its tables cannot be told from stale ones."""
+
+    def __init__(self, config, path: pathlib.Path) -> None:
+        self.config = config
+        self.path = path
+        self.emitted: set[str] = set()
+        self.complete = True
+
+    def _benchmark(self, nodeid: str) -> bool:
+        file = pathlib.Path(self.config.rootpath) / nodeid.split("::", 1)[0]
+        return self.path.parent.resolve() in file.resolve().parents
+
+    def pytest_deselected(self, items):
+        if any(self._benchmark(item.nodeid) for item in items):
+            self.complete = False
+
+    def pytest_runtest_logreport(self, report):
+        if (report.failed or report.skipped) and self._benchmark(
+            report.nodeid
+        ):
+            self.complete = False
+
+    def pytest_sessionfinish(self, session, exitstatus):
+        if not (
+            exitstatus == 0 and self.complete and self.emitted
+            and _whole_directory(self.config, self.path.parent)
+            and self.path.exists()
+        ):
+            return
+        sections = _split_sections(self.path.read_text())
+        kept = [(banner, lines) for banner, lines in sections
+                if banner in self.emitted]
+        if len(kept) != len(sections):
+            self.path.write_text(_render(kept))
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(
+        ResultsSections(config, RESULTS_PATH), "results-sections"
+    )
+    # Canonical full runs start from a fresh file.  Only whole-directory
+    # sessions truncate: a selective `pytest benchmarks/test_x.py
+    # --benchmark-only` must not wipe the other sections (the upsert in
+    # emit() keeps them duplicate-free either way).
+    if config.getoption("--benchmark-only", default=False) and (
+        _whole_directory(config, RESULTS_PATH.parent)
+    ):
         RESULTS_PATH.write_text("")
 
 
@@ -255,7 +310,14 @@ def record_contracts():
 
 
 @pytest.fixture
-def emit(capsys):
+def results_sections(pytestconfig):
+    """This session's :class:`ResultsSections` (``results.txt`` and the
+    banners emitted so far)."""
+    return pytestconfig.pluginmanager.get_plugin("results-sections")
+
+
+@pytest.fixture
+def emit(capsys, results_sections):
     """Print an experiment table and upsert it into results.txt."""
 
     def _emit(text: str) -> None:
@@ -277,7 +339,9 @@ def emit(capsys):
             )
         with capsys.disabled():
             print("\n" + text)
-        existing = RESULTS_PATH.read_text() if RESULTS_PATH.exists() else ""
+        results_sections.emitted.add(banner)
+        path = results_sections.path
+        existing = path.read_text() if path.exists() else ""
         body = text.rstrip().splitlines()
         kept: list[tuple[str, list[str]]] = []
         replaced = False
@@ -292,6 +356,6 @@ def emit(capsys):
                 kept.append((header, section_lines))
         if not replaced:
             kept.append((banner, body))
-        RESULTS_PATH.write_text(_render(kept))
+        path.write_text(_render(kept))
 
     return _emit

@@ -28,7 +28,7 @@ from bench_timing import interleaved_best
 from repro.analysis.reporting import format_table
 from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec, termination_grid
-from repro.engine.store import canonical_line
+from repro.engine.store import canonical_line, journal_line
 
 # Conservative floors vs the measured ~2.1-2.8x (batched over vectorized)
 # and ~6x+ (fast paths over reference) so a loaded CI box cannot flake
@@ -38,8 +38,8 @@ MIN_BATCH_GAIN = 1.2  # batched over vectorized, median across groups
 # Lane compaction over mask-only batching (the PR-4 kernel behavior) on
 # the heterogeneous-latency ensemble; measured ~1.9-2.7x.
 MIN_COMPACTION_GAIN = 1.3
-# Cross-n packing over the per-n grouping (the PR-5 scheduler behavior)
-# on sparse mixed-width ensembles; measured ~1.5-2.1x.
+# The planner's cross-n packing over running each n as its own work
+# list, on sparse mixed-width ensembles; measured ~1.35-2.0x.
 MIN_PACKING_GAIN = 1.3
 # The schema-3 BENCH_FASTPATH.json floor for median_speedup_batched: the
 # regression guard below fails a run that lands under FLOOR * SLACK.
@@ -513,14 +513,13 @@ def test_bench_contracts_overhead(benchmark, emit, record_contracts):
 
 def _mixed_width_specs() -> list[tuple[str, list[ScenarioSpec]]]:
     """Sparse mixed-``n`` ensembles sharing one round bucket (n=4..7 all
-    resolve inside the 64-round budget): the PR-5 scheduler runs one
-    tensor program per ``n`` — four programs of a handful of lanes each,
-    where per-program fixed cost and the per-round Python loop dominate
-    — while ``pack_widths`` fuses them into one padded program.  This is
-    the workload cross-``n`` packing exists for; dense per-``n``
-    ensembles (24+ seeds each) and wide-``n`` spreads amortize fine
-    unpacked and are *not* claimed here (padding can even lose — see the
-    README's when-it-wins notes)."""
+    resolve inside the 64-round budget): run per ``n`` they are four
+    tensor programs of a handful of lanes each, where per-program fixed
+    cost and the per-round Python loop dominate, while the planner fuses
+    them into one padded program.  This is the workload cross-``n``
+    packing exists for; dense per-``n`` ensembles (8+ lanes each) and
+    gather-regime widths (n >= 16) amortize fine on their own ``n``, so
+    the planner does not pack them (see the README's packing notes)."""
     term = [
         ScenarioSpec(n=n, k=2, num_groups=2, seed=s, noise=0.15)
         for n in (4, 5, 6, 7)
@@ -543,32 +542,44 @@ def _mixed_width_specs() -> list[tuple[str, list[ScenarioSpec]]]:
 PACKED_HEADERS = [
     "group",
     "scenarios",
-    "pr5_ms",
+    "per_n_ms",
     "packed_ms",
     "packing",
 ]
 
 
-def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
-    """PACKED-MIX: cross-n packing vs the PR-5 scheduler.
+def _run_per_n(specs):
+    """Batched results of each ``n``'s specs run as its own work list,
+    back in ``specs`` order (the cost of not packing)."""
+    by_id = {}
+    for n in sorted({spec.n for spec in specs}):
+        part = [spec for spec in specs if spec.n == n]
+        by_id.update(
+            (r.scenario_id, r)
+            for r in execute_scenarios(part, backend="batched")
+        )
+    return [by_id[spec.scenario_id] for spec in specs]
 
-    Each group is timed through the identical executor twice — per-``n``
-    grouping (the PR-5 plan) vs ``pack_widths`` — with journal bytes
-    asserted identical first.
+
+def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
+    """PACKED-MIX: the planner's cross-n packing vs per-n work lists.
+
+    Each group is timed through the identical executor twice — one work
+    list per ``n`` vs the whole group as one work list, which the
+    planner packs — with journal bytes asserted identical first.
     """
     groups = _mixed_width_specs()
 
     def _run():
         rows, entries = [], []
-        total_ref = total_vect = total_pr5 = total_packed = total_n = 0
+        total_ref = total_vect = total_per_n = total_packed = total_n = 0
         for label, specs in groups:
-            pr5 = execute_scenarios(specs, backend="batched")
-            packed = execute_scenarios(
-                specs, backend="batched", pack_widths=True
-            )
-            lines = [canonical_line(r) for r in pr5]
-            assert lines == [canonical_line(r) for r in packed]
-            assert lines == [
+            per_n = _run_per_n(specs)
+            packed = execute_scenarios(specs, backend="batched")
+            assert [journal_line(r) for r in per_n] == [
+                journal_line(r) for r in packed
+            ]
+            assert [canonical_line(r) for r in packed] == [
                 canonical_line(r)
                 for r in execute_scenarios(specs, backend="reference")
             ]
@@ -578,23 +589,18 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             vect_s = _best_of(
                 lambda: execute_scenarios(specs, backend="vectorized")
             )
-            pr5_s = _best_of(
-                lambda: execute_scenarios(specs, backend="batched"),
-                repeats=5,
-            )
+            per_n_s = _best_of(lambda: _run_per_n(specs), repeats=5)
             packed_s = _best_of(
-                lambda: execute_scenarios(
-                    specs, backend="batched", pack_widths=True
-                ),
+                lambda: execute_scenarios(specs, backend="batched"),
                 repeats=5,
             )
             rows.append(
                 [
                     label,
                     len(specs),
-                    round(pr5_s * 1e3, 1),
+                    round(per_n_s * 1e3, 1),
                     round(packed_s * 1e3, 1),
-                    round(pr5_s / packed_s, 2),
+                    round(per_n_s / packed_s, 2),
                 ]
             )
             entries.append(
@@ -603,31 +609,31 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
                     "scenarios": len(specs),
                     "reference_s": round(ref_s, 4),
                     "vectorized_s": round(vect_s, 4),
-                    "batched_unpacked_s": round(pr5_s, 4),
+                    "batched_unpacked_s": round(per_n_s, 4),
                     "batched_s": round(packed_s, 4),
                     "speedup_vs_reference": round(ref_s / packed_s, 2),
-                    "packing_gain": round(pr5_s / packed_s, 2),
+                    "packing_gain": round(per_n_s / packed_s, 2),
                 }
             )
             total_ref += ref_s
             total_vect += vect_s
-            total_pr5 += pr5_s
+            total_per_n += per_n_s
             total_packed += packed_s
             total_n += len(specs)
         rows.append(
             [
                 "total",
                 total_n,
-                round(total_pr5 * 1e3, 1),
+                round(total_per_n * 1e3, 1),
                 round(total_packed * 1e3, 1),
-                round(total_pr5 / total_packed, 2),
+                round(total_per_n / total_packed, 2),
             ]
         )
-        totals = (total_ref, total_vect, total_pr5, total_packed, total_n)
+        totals = (total_ref, total_vect, total_per_n, total_packed, total_n)
         return rows, entries, totals
 
     rows, entries, totals = benchmark.pedantic(_run, rounds=1, iterations=1)
-    total_ref, total_vect, total_pr5, total_packed, total_n = totals
+    total_ref, total_vect, total_per_n, total_packed, total_n = totals
     median_packing = statistics.median(
         g["packing_gain"] for g in entries if "packing_gain" in g
     )
@@ -645,10 +651,10 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             "grid": "sparse mixed-width ensembles ns=4..7 (termination-"
             "style 4 seeds/n + hetero-latency 6 variants/n), one "
             "64-round bucket",
-            "batched_unpacked_s": round(total_pr5, 4),
-            "packing_gain": round(total_pr5 / total_packed, 2),
-            "packing_baseline": "batched with per-n grouping (the PR-5 "
-            "scheduler behavior)",
+            "batched_unpacked_s": round(total_per_n, 4),
+            "packing_gain": round(total_per_n / total_packed, 2),
+            "packing_baseline": "batched with each n's specs run as its "
+            "own work list",
             "groups": entries,
         },
     )
@@ -656,9 +662,9 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
         format_table(
             PACKED_HEADERS,
             rows,
-            title="FASTPATH-PACKED — cross-n packing vs per-n grouping "
-            "on sparse mixed-width ensembles (identical journal bytes "
-            "asserted first)",
+            title="FASTPATH-PACKED — planner cross-n packing vs per-n "
+            "work lists on sparse mixed-width ensembles (identical journal "
+            "bytes asserted first)",
         )
     )
 

@@ -3,7 +3,9 @@
 :func:`conftest.record_fastpath` must keep ``BENCH_FASTPATH.json``
 consistent with the workloads it currently holds (file-level medians
 rebuilt on every write, stale ones dropped, other recorders' keys
-kept), and :func:`bench_timing.interleaved_best` must return
+kept), :func:`conftest.emit` must upsert ``results.txt`` sections and
+drop the ones a passing whole-directory session did not emit, and
+:func:`bench_timing.interleaved_best` must return
 per-candidate floors from rotated, interleaved rounds that stop as soon
 as every A/A pair agrees.  Both run against a temporary file and a fake
 clock: nothing here times real work or touches the committed records.
@@ -192,3 +194,85 @@ class TestInterleavedBest:
         assert converged
         assert floors == pytest.approx([1.0, 1.005])
         assert clock.calls.count("b") == 1 + 12
+
+
+@pytest.fixture
+def results_sections(pytestconfig, tmp_path):
+    """A fresh ResultsSections over a temporary benchmarks directory,
+    standing in for the session's own in this module's emit() calls."""
+    session_sections = pytestconfig.pluginmanager.get_plugin(
+        "results-sections"
+    )
+    config = types.SimpleNamespace(rootpath=tmp_path, args=[str(tmp_path)])
+    return type(session_sections)(config, tmp_path / "results.txt")
+
+
+def _report(nodeid, outcome="passed"):
+    return types.SimpleNamespace(
+        nodeid=nodeid, failed=outcome == "failed",
+        skipped=outcome == "skipped",
+    )
+
+
+def _banners(path):
+    return [line for line in path.read_text().splitlines() if " — " in line]
+
+
+class TestResultsSections:
+    STALE = "OLD — a retitled table\nrow\n\nTHM1 — kept table\nrow\n\n"
+
+    def test_reemitting_replaces_in_place(self, emit, results_sections):
+        path = results_sections.path
+        path.write_text(self.STALE)
+        emit("THM1 — kept table\nnew row")
+        assert path.read_text().count("THM1 — kept table") == 1
+        assert "new row" in path.read_text()
+        assert _banners(path)[0] == "OLD — a retitled table"
+
+    def test_passing_whole_session_drops_unemitted_sections(
+        self, emit, results_sections
+    ):
+        path = results_sections.path
+        path.write_text(self.STALE)
+        # One tag may own two tables: both stay.
+        emit("THM1 — kept table\nrow")
+        emit("THM1 — second table\nrow")
+        results_sections.pytest_runtest_logreport(_report("test_a.py::t"))
+        # Outcomes outside the benchmarks directory do not count.
+        results_sections.pytest_runtest_logreport(
+            _report("../tests/test_b.py::t", "skipped")
+        )
+        results_sections.pytest_sessionfinish(None, 0)
+        assert _banners(path) == [
+            "THM1 — kept table", "THM1 — second table",
+        ]
+
+    @pytest.mark.parametrize(
+        "session", ["failed", "skipped", "deselected", "one file"]
+    )
+    def test_other_sessions_keep_every_section(
+        self, emit, results_sections, session
+    ):
+        path = results_sections.path
+        path.write_text(self.STALE)
+        emit("THM1 — kept table\nrow")
+        exitstatus = 0
+        if session == "failed":
+            exitstatus = 1
+            results_sections.pytest_runtest_logreport(
+                _report("test_a.py::t", "failed")
+            )
+        elif session == "skipped":
+            results_sections.pytest_runtest_logreport(
+                _report("test_a.py::t", "skipped")
+            )
+        elif session == "deselected":
+            results_sections.pytest_deselected(
+                [types.SimpleNamespace(nodeid="test_a.py::t")]
+            )
+        else:
+            results_sections.config.args = [str(path.parent / "test_a.py")]
+        results_sections.pytest_sessionfinish(None, exitstatus)
+        assert _banners(path) == [
+            "OLD — a retitled table", "THM1 — kept table",
+        ]

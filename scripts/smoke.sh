@@ -12,8 +12,9 @@
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
 # reference run.
-# A mixed-n packed leg (--pack-widths --jobs 4) byte-compares journal
-# and summary against the serial unpacked batched run.
+# A mixed-n leg (--jobs 4, --metrics) byte-compares journal and summary
+# against the serial batched run and checks that the planner packed the
+# n = 4..7 grid.
 # A final telemetry leg records a --metrics sidecar (schema-validated,
 # all four engine sections non-zero) and byte-compares the journal
 # against a metrics-off run.
@@ -180,23 +181,31 @@ cmp "$workdir/het_ref_summary.jsonl" "$workdir/het_sched_summary.jsonl"
 echo "scheduler-planned parallel run byte-matches serial reference: OK"
 
 echo
-echo "== cross-n packing: mixed-n packed leg (--jobs 4) =="
-# A mixed-n grid (n=4..7 share one round bucket) runs as one padded
-# tensor group under --pack-widths, cut into batches for four workers —
-# journal records and summary must byte-match the serial unpacked
-# batched run.
-pack_grid=(-n 4 5 6 7 -k 2 --seeds 3 --noise 0.0 0.3)
+echo "== cross-n packing: mixed-n leg (--jobs 4) =="
+# A sparse mixed-n grid (n=4..7 share one round bucket, 6 lanes per n)
+# is planned as one padded tensor group, cut into batches for four
+# workers — serial and pool share that plan, so journal records and
+# summary must byte-match the serial batched run, and the sidecar must
+# show the padding.
+pack_grid=(-n 4 5 6 7 -k 2 --seeds 3 --noise 0.3)
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
     --store "$workdir/pack_serial.jsonl" \
     --summary "$workdir/pack_serial_summary.jsonl" > /dev/null
 python -m repro campaign run "${pack_grid[@]}" --backend batched \
-    --pack-widths --jobs 4 \
+    --jobs 4 --metrics --no-progress \
     --store "$workdir/pack_pooled.jsonl" \
     --summary "$workdir/pack_pooled_summary.jsonl" > /dev/null
 cmp "$workdir/pack_serial_summary.jsonl" "$workdir/pack_pooled_summary.jsonl"
-diff <(sort "$workdir/pack_serial.jsonl") \
-     <(sort "$workdir/pack_pooled.jsonl")
-echo "packed pooled journal bytes match serial unpacked: OK"
+cmp "$workdir/pack_serial.jsonl" "$workdir/pack_pooled.jsonl"
+echo "pooled journal bytes match serial: OK"
+python - "$workdir/pack_pooled.jsonl.metrics.json" <<'PY'
+import sys
+from repro.engine.telemetry import read_sidecar
+
+det = read_sidecar(sys.argv[1])["deterministic"]["counters"]
+assert det.get("scheduler.padded_lane_width", 0) > 0, det
+print("planner packed the mixed-n grid: OK")
+PY
 
 echo
 echo "== store-native aggregation: percentile table from the journal =="

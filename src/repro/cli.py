@@ -30,10 +30,6 @@ default ``<store>.metrics.json``; journals and summaries are
 byte-identical with metrics on or off).  ``campaign report
 --metrics`` renders a recorded sidecar as a table.
 
-Execution-shape flag (byte-identical journals either way):
-``--pack-widths`` packs mixed-``n`` scenarios into shared padded
-tensor batches.
-
 Hardening flags (same sharing): ``--contracts`` arms the runtime
 contract layer (:mod:`repro.engine.contracts` — sampled re-derive-and-
 compare checkpoints inside the kernels; violations abort with a minimal
@@ -197,7 +193,6 @@ def _run_family_command(name: str, args: argparse.Namespace) -> int:
             timeout=getattr(args, "timeout", None),
             backend=getattr(args, "backend", None),
             batch_memory=_batch_memory_bytes(args),
-            pack_widths=getattr(args, "pack_widths", False),
             max_retries=getattr(args, "max_retries", 0) or 0,
         )
         recorder, metrics_path = _metrics_recorder(args)
@@ -257,14 +252,6 @@ def _add_scheduler_args(p: argparse.ArgumentParser) -> None:
         help="per-batch memory envelope in MiB for the batched/auto "
         "backends (packing only: journals and summaries are "
         "byte-identical whatever the envelope)",
-    )
-    p.add_argument(
-        "--pack-widths",
-        action="store_true",
-        help="cross-n lane packing for the batched/auto backends: batch "
-        "mixed-n scenarios into one padded tensor program per round "
-        "bucket instead of one group per n (packing only: journals and "
-        "summaries are byte-identical either way)",
     )
     p.add_argument(
         "--progress",
@@ -447,7 +434,6 @@ def _campaign_from_args(args: argparse.Namespace):
             timeout=getattr(args, "timeout", None),
             backend=getattr(args, "backend", None),
             batch_memory=_batch_memory_bytes(args),
-            pack_widths=getattr(args, "pack_widths", False),
             max_retries=getattr(args, "max_retries", 0) or 0,
         )
     grid = _grid_from_args(args)
@@ -458,7 +444,6 @@ def _campaign_from_args(args: argparse.Namespace):
         timeout=getattr(args, "timeout", None),
         backend=getattr(args, "backend", None) or "reference",
         batch_memory=_batch_memory_bytes(args),
-        pack_widths=getattr(args, "pack_widths", False),
         label="grid",
         max_retries=getattr(args, "max_retries", 0) or 0,
     )
@@ -523,7 +508,6 @@ def _daemon_submission(args: argparse.Namespace) -> dict:
         "store": os.path.abspath(args.store) if args.store else None,
         "backend": getattr(args, "backend", None),
         "batch_memory": _batch_memory_bytes(args),
-        "pack_widths": getattr(args, "pack_widths", False),
         "max_retries": getattr(args, "max_retries", 0) or 0,
         "timeout": getattr(args, "timeout", None),
         "resume": not getattr(args, "no_resume", False),

@@ -208,12 +208,6 @@ class Campaign:
         backends (``None``: the built-in budget).  A pure packing knob
         for the batch scheduler — journals and summaries are
         byte-identical whatever the envelope.
-    pack_widths:
-        Cross-``n`` lane packing for the batched/auto backends: group
-        mixed-``n`` batch-compatible scenarios into one padded tensor
-        program per round bucket (see
-        :func:`repro.engine.scheduler.plan_batches`).  Pure packing
-        knob — journals and summaries are byte-identical either way.
     label:
         Human name for progress reporting (the experiment family name
         when the campaign was built by the registry).
@@ -233,7 +227,6 @@ class Campaign:
         timeout: float | None = None,
         backend: str = "reference",
         batch_memory: int | None = None,
-        pack_widths: bool = False,
         label: str | None = None,
         max_retries: int = 0,
         workers: Sequence[str] | None = None,
@@ -252,7 +245,6 @@ class Campaign:
         self.timeout = timeout
         self.backend = backend
         self.batch_memory = batch_memory
-        self.pack_widths = pack_widths
         self.label = label
         self.max_retries = max_retries
         self.workers = list(workers) if workers else None
@@ -373,7 +365,6 @@ class Campaign:
                 list(enumerate(todo)),
                 self.batch_memory,
                 jobs=plan_jobs,
-                pack_widths=self.pack_widths,
                 recorder=rec,
             )
         reporter = None
@@ -403,7 +394,6 @@ class Campaign:
             on_result=journal,
             backend=resolved_backend,
             batch_memory=self.batch_memory,
-            pack_widths=self.pack_widths,
             plan=plan,
             recorder=rec if rec else None,
             max_retries=(
@@ -499,7 +489,6 @@ def run_campaign(
     resume: bool = True,
     backend: str = "reference",
     batch_memory: int | None = None,
-    pack_widths: bool = False,
 ) -> list[ScenarioResult]:
     """One-shot convenience: run (resuming) and return grid-ordered
     results.  The workhorse behind the refactored sweeps and benchmarks."""
@@ -510,7 +499,6 @@ def run_campaign(
         timeout=timeout,
         backend=backend,
         batch_memory=batch_memory,
-        pack_widths=pack_widths,
     )
     campaign.run(resume=resume)
     return campaign.completed_results()

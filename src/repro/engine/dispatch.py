@@ -3,7 +3,7 @@
 :func:`plan_units` cuts a work list into dispatch *units* — the
 scheduler's planned batches plus chunks of its singles under the
 ``batched``/``auto`` backends, contiguous chunks otherwise — whose
-concatenation is the plan order a serial run journals in, whatever
+concatenation is the plan order every run journals in, whatever
 ``jobs`` is.  A :class:`Dispatcher` runs them on *workers*, each one
 failure domain: a :class:`~repro.engine.executor.WorkerPool` process or
 a TCP link to a ``repro worker`` (:mod:`repro.engine.remote`).  A worker
@@ -23,7 +23,7 @@ The failure policy, the same for both worker kinds:
   after :func:`retry_delay` while ``max_retries`` lasts, then journal
   retriable ``"timeout"`` records;
 * a lost worker is charged only to the unit it was running, which is
-  retried as singleton chunks so only a deterministic killer ends
+  retried as one-scenario units so only a deterministic killer ends
   failed; units queued behind it never started and requeue uncharged;
 * at the fleet deadline every unfinished unit expires together: running
   units are cut, and each is retried under a fresh window or journals
@@ -48,7 +48,7 @@ import os
 import queue as queue_mod
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -120,14 +120,15 @@ def plan_units(
     jobs: int,
     plan=None,
     batch_memory: int | None = None,
-    pack_widths: bool = False,
     chunksize: int | None = None,
     recorder=None,
 ) -> list[Unit]:
     """The dispatch units of ``indexed`` (``(index, spec)`` pairs) in
     plan order: the batches of ``plan`` (or of a plan cut for ``jobs``
     workers, which never changes the item order) plus chunks of its
-    singles, or contiguous chunks for the unbatched backends."""
+    singles, or contiguous chunks for the unbatched backends.  The one
+    place a work list becomes units, for the serial path, the pool and
+    the fleet alike."""
 
     def chunks(items: list) -> list[Unit]:
         size = chunksize or default_chunksize(len(items), jobs)
@@ -142,8 +143,7 @@ def plan_units(
         from repro.engine.scheduler import plan_batches
 
         plan = plan_batches(
-            indexed, batch_memory=batch_memory, jobs=jobs,
-            pack_widths=pack_widths, recorder=recorder,
+            indexed, batch_memory=batch_memory, jobs=jobs, recorder=recorder
         )
     units = [Unit("batch", list(batch.items), batch) for batch in plan.batches]
     return units + chunks(list(plan.singles))
@@ -399,8 +399,9 @@ class Dispatcher:
 
     def _charge(self, attempt: Attempt, reason: str, status: str,
                 retry: bool = True, split: bool = False) -> None:
-        """Charge one failed attempt to its unit: retry it (as singleton
-        chunks when ``split``) or journal ``status`` records."""
+        """Charge one failed attempt to its unit: retry it (as
+        one-scenario units when ``split``) or journal ``status``
+        records."""
         unit, tries = attempt.unit, attempt.tries
         if not (retry and tries < self.max_retries):
             self._fail(unit, reason, status)
@@ -408,11 +409,15 @@ class Dispatcher:
         self._stats[attempt.worker]["requeued"] += 1
         self._vinc("unit_retries")
         if split and len(unit.items) > 1:
-            # Safe for planned batches too: batched results are tagged
-            # by backend, not by grouping, so journal bytes are equal.
+            # A batch splits into one-lane batches, so a chunk only ever
+            # holds plan singles.  Batched results are tagged by backend,
+            # not by grouping, so journal bytes are equal.
             self._vinc("singleton_splits")
             for item in unit.items:
-                self._requeue(Unit("chunk", [item]), tries + 1)
+                batch = None if unit.batch is None else replace(
+                    unit.batch, n=item[1].n, items=(item,)
+                )
+                self._requeue(Unit(unit.kind, [item], batch), tries + 1)
         else:
             self._requeue(unit, tries + 1)
 

@@ -4,12 +4,14 @@
 every RNG in the simulation stack is derived from the spec's seed, so the
 same spec produces bit-identical metrics in any process on any worker.
 
-:func:`execute_scenarios` runs a work list serially (``jobs <= 1``: a
-plain loop, easiest to debug) or on a :class:`WorkerPool` through the
+:func:`execute_scenarios` cuts a work list into dispatch units
+(:func:`~repro.engine.dispatch.plan_units`): a whole planned batch under
+the batched/auto backends (chunking cannot break a batch), a contiguous
+chunk otherwise.  It runs them serially (``jobs <= 1``: a plain loop in
+plan order, easiest to debug) or on a :class:`WorkerPool` through the
 :class:`~repro.engine.dispatch.Dispatcher` that also drives the remote
-fleet, one dispatch unit per task: a whole planned batch under the
-batched/auto backends (pool chunking cannot break a batch), a
-contiguous chunk otherwise.  Results are released in plan order, so the
+fleet, one unit per task, both through the same unit body
+(:func:`_iter_unit`).  Results are released in plan order, so the
 journal is byte-identical to the serial run's whatever ``jobs`` is.
 
 Each pool process is a failure domain with one unit queued behind the
@@ -33,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
@@ -194,11 +196,8 @@ def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
 
 # ----------------------------------------------------------------------
-# Parallel dispatch
+# Dispatch
 # ----------------------------------------------------------------------
-IndexedSpec = tuple[int, ScenarioSpec]
-
-
 def _run_one(
     spec: ScenarioSpec, backend: str, recorder=None
 ) -> ScenarioResult:
@@ -223,39 +222,31 @@ def _run_one(
     return execute_scenario_with_backend(spec, backend, recorder=recorder)
 
 
-def _iter_chunk(
-    chunk: Sequence[IndexedSpec],
-    backend: str,
-    batch_memory: int | None = None,
-    compact: bool = True,
-    pack_widths: bool = False,
-    recorder=None,
-    plan=None,
-) -> Iterable[tuple[int, ScenarioResult]]:
-    """Yield one work list's results, tagged with their input indices.
+def _iter_unit(unit, backend: str, compact: bool = True,
+               recorder=None) -> Iterator[tuple[int, ScenarioResult]]:
+    """Run one dispatch unit in this process, yielding ``(index,
+    result)`` in plan order: a whole planned batch (so chunking can
+    never break a batch) or an order-chunk of plan singles, one by one.
 
-    The ``batched`` and ``auto`` backends run the batch scheduler's
-    ``plan`` for the list (planned here when ``None``), which packs
-    batch-compatible specs into lane-compacting batches — yield order is
-    plan order there, input order otherwise.  A plan made here records
-    no scheduler metrics: the campaign's own
-    :func:`~repro.engine.scheduler.plan_batches` is their single source.
-    """
-    if backend in ("batched", "auto"):
-        from repro.engine.scheduler import iter_plan, plan_batches
+    The serial path runs its units here with the caller's recorder;
+    pool and fleet workers run theirs through :func:`_execute_unit`."""
+    if unit.kind == "batch":
+        from repro.engine.scheduler import run_planned_batch
 
-        if plan is None:
-            plan = plan_batches(chunk, batch_memory, pack_widths=pack_widths)
-        yield from iter_plan(plan, backend, compact=compact, recorder=recorder)
+        for _idx, spec in unit.items:
+            _faults.before_scenario(spec)
+        yield from run_planned_batch(
+            unit.batch, backend, compact=compact, recorder=recorder
+        )
         return
-    for idx, spec in chunk:
+    for idx, spec in unit.items:
         yield idx, _run_one(spec, backend, recorder=recorder)
 
 
 def _execute_unit(unit, backend: str, compact: bool = True,
                   collect: bool = False) -> tuple:
-    """Worker entry point: run one dispatch unit — a whole planned batch
-    (so pool chunking can never break a batch) or an order-chunk.
+    """Worker entry point (a pool process or a fleet worker): run one
+    dispatch unit through :func:`_iter_unit`.
 
     Returns ``(pairs, meta)``: the ``(index, result)`` pairs and, with
     ``collect``, the worker's pid, busy seconds and the snapshot of its
@@ -263,19 +254,7 @@ def _execute_unit(unit, backend: str, compact: bool = True,
     merge (``None`` otherwise)."""
     recorder = Recorder() if collect else None
     t0 = time.perf_counter()
-    if unit.kind == "batch":
-        from repro.engine.scheduler import run_planned_batch
-
-        for _idx, spec in unit.items:
-            _faults.before_scenario(spec)
-        pairs = run_planned_batch(
-            unit.batch, backend, compact=compact, recorder=recorder
-        )
-    else:
-        pairs = list(
-            _iter_chunk(unit.items, backend, compact=compact,
-                        recorder=recorder)
-        )
+    pairs = list(_iter_unit(unit, backend, compact, recorder))
     if recorder is None or _faults.drop_worker_meta(unit.items):
         return pairs, None
     meta = {"pid": os.getpid(), "busy_s": time.perf_counter() - t0,
@@ -512,7 +491,6 @@ def execute_scenarios(
     backend: str = "reference",
     batch_memory: int | None = None,
     compact: bool = True,
-    pack_widths: bool = False,
     plan=None,
     recorder=None,
     max_retries: int = 0,
@@ -557,12 +535,6 @@ def execute_scenarios(
         Whether the batch kernel compacts live lanes as batchmates
         retire (diagnostic toggle for the differential suite and the
         fast-path benchmark; results are bit-identical either way).
-    pack_widths:
-        Cross-``n`` packing for the batched/auto backends when the plan
-        is computed *here* (``plan=None``): mixed-``n`` grids batch into
-        one padded tensor program per round bucket — see
-        :func:`repro.engine.scheduler.plan_batches`.  A pure packing
-        knob: results and journal bytes are identical either way.
     plan:
         A precomputed :class:`~repro.engine.scheduler.BatchPlan` for
         exactly this work list (the campaign layer passes the plan its
@@ -604,35 +576,30 @@ def execute_scenarios(
     spec_list = list(specs)
     if not spec_list:
         return []
-    if (jobs <= 1 or len(spec_list) <= 1) and timeout is None and pool is None:
-        # The serial path streams through the same kernels the pool
-        # workers use, so the batched/auto backends run the scheduler's
-        # planned batches here too; results are re-sorted into grid
-        # order (they journal in plan order).
-        results: list = [None] * len(spec_list)
-        streamed = _iter_chunk(
-            list(enumerate(spec_list)), backend, batch_memory=batch_memory,
-            compact=compact, pack_widths=pack_widths, recorder=recorder,
-            plan=plan,
-        )
-        for idx, result in streamed:
-            if recorder:
-                _count_result(recorder, result)
-            if on_result is not None:
-                on_result(result)
-            results[idx] = result
-            if should_stop is not None and should_stop():
-                raise ExecutionStopped("run interrupted by shutdown signal")
-        return results
-
     from repro.engine.dispatch import Dispatcher, plan_units
 
     jobs = max(1, jobs)
     units = plan_units(
         list(enumerate(spec_list)), backend, jobs=jobs, plan=plan,
-        batch_memory=batch_memory, pack_widths=pack_widths,
-        chunksize=chunksize, recorder=recorder,
+        batch_memory=batch_memory, chunksize=chunksize, recorder=recorder,
     )
+    if (jobs == 1 or len(spec_list) == 1) and timeout is None and pool is None:
+        # The serial path runs the pool's units in plan order through
+        # the workers' own unit body; results are re-sorted into grid
+        # order (they journal in plan order).
+        results: list = [None] * len(spec_list)
+        for unit in units:
+            for idx, result in _iter_unit(unit, backend, compact, recorder):
+                if recorder:
+                    _count_result(recorder, result)
+                if on_result is not None:
+                    on_result(result)
+                results[idx] = result
+                if should_stop is not None and should_stop():
+                    raise ExecutionStopped(
+                        "run interrupted by shutdown signal"
+                    )
+        return results
     owned = pool is None
     if owned:
         pool = WorkerPool(min(jobs, len(units)))

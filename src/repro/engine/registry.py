@@ -306,7 +306,6 @@ def family_campaign(
     timeout: float | None = None,
     backend: str | None = None,
     batch_memory: int | None = None,
-    pack_widths: bool = False,
     max_retries: int = 0,
 ):
     """A :class:`~repro.engine.campaign.Campaign` over a family's grid.
@@ -328,7 +327,6 @@ def family_campaign(
         timeout=timeout,
         backend=resolved,
         batch_memory=batch_memory,
-        pack_widths=pack_widths,
         label=family.name,
         max_retries=max_retries,
     )
@@ -342,7 +340,6 @@ def run_family(
     timeout: float | None = None,
     backend: str | None = None,
     batch_memory: int | None = None,
-    pack_widths: bool = False,
     max_retries: int = 0,
 ) -> list[ScenarioResult]:
     """One-shot: run (resuming) a family campaign, return grid-ordered
@@ -355,7 +352,6 @@ def run_family(
         timeout=timeout,
         backend=backend,
         batch_memory=batch_memory,
-        pack_widths=pack_widths,
         max_retries=max_retries,
     )
     campaign.run()

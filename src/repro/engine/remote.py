@@ -663,7 +663,6 @@ def execute_remote(
     backend: str = "batched",
     batch_memory: int | None = None,
     compact: bool = True,
-    pack_widths: bool = False,
     plan=None,
     recorder=None,
     max_retries: int = 0,
@@ -688,8 +687,7 @@ def execute_remote(
         raise ValueError("execute_remote needs at least one worker endpoint")
     units = plan_units(
         list(enumerate(spec_list)), backend, jobs=len(endpoints), plan=plan,
-        batch_memory=batch_memory, pack_widths=pack_widths,
-        chunksize=chunksize, recorder=recorder,
+        batch_memory=batch_memory, chunksize=chunksize, recorder=recorder,
     )
     setup = {
         "type": "setup",

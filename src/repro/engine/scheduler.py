@@ -15,7 +15,8 @@ This module fixes both by planning the **whole campaign** before
 execution:
 
 * :func:`plan_batches` groups batch-compatible scenarios *globally* —
-  not just contiguous runs — by ``(n, round-budget bucket)``, packs each
+  not just contiguous runs — by ``(n, round-budget bucket)``, merging a
+  bucket's tiny small-``n`` groups into one padded group, cuts each
   group into :class:`PlannedBatch` units sized by the
   :func:`~repro.rounds.fastpath.default_batch_size` memory envelope
   (overridable via ``campaign run --batch-memory``), and emits a
@@ -27,9 +28,9 @@ execution:
   compressed out and freed width is refilled from the batch's pending
   lanes — see :func:`~repro.rounds.fastpath.simulate_fastpath_batch`),
   preserving the ``auto`` backend's transparent per-lane fallback.
-* the executor ships whole planned batches to pool workers
-  (:func:`repro.engine.executor.execute_scenarios`), so pool chunking
-  can no longer break batches.
+* the executor runs whole planned batches as dispatch units, serially
+  or on pool workers (:func:`repro.engine.executor.execute_scenarios`),
+  so pool chunking can no longer break batches.
 
 Every mapping back to journal order is by work-list index: results are
 re-sorted into grid order by the executor and journal record *bytes* are
@@ -49,7 +50,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from repro.engine.backends import (
     BACKEND_AUTO,
@@ -60,6 +61,7 @@ from repro.engine.contracts import contract
 from repro.engine.contracts import get as _get_contracts
 from repro.engine.executor import ScenarioResult
 from repro.engine.scenarios import ScenarioSpec
+from repro.rounds.array_backend import _GATHER_MIN_N
 from repro.rounds.fastpath import default_batch_size, lane_bytes
 
 IndexedSpec = tuple[int, ScenarioSpec]
@@ -94,8 +96,7 @@ class PlannedBatch:
     ``width`` is the kernel's concurrent-lane cap (the memory envelope) —
     ``len(items)`` may exceed it, in which case the kernel refills freed
     width from the remaining lanes as earlier ones retire.  ``n`` is the
-    batch's *tensor* width: without ``pack_widths`` every member shares
-    it; under cross-``n`` packing it is the widest member's ``n`` and
+    batch's *tensor* width: the widest member's ``n``; in a packed batch
     narrower lanes run padded up to it (the kernel masks the padding, so
     results are bit-identical either way).
     """
@@ -167,7 +168,6 @@ def plan_batches(
     items: Iterable[IndexedSpec],
     batch_memory: int | None = None,
     jobs: int = 1,
-    pack_widths: bool = False,
     recorder=None,
     _verify: bool = True,
 ) -> BatchPlan:
@@ -182,43 +182,53 @@ def plan_batches(
     (``batch_memory`` overrides the envelope budget, in bytes).
     Everything else becomes a single.
 
-    ``pack_widths`` drops ``n`` from the grouping key: every
-    batch-compatible spec in a round bucket lands in *one* group, run at
-    the widest member's ``n`` with narrower lanes padded (cross-``n``
-    packing).  A mixed-``n`` grid then becomes one tensor program
-    instead of one group per ``n``, at the cost of padded cells — see
-    the ``scheduler.padded_lane_width`` / ``scheduler.wasted_pad_cells``
-    counters for how much.  The width envelope is sized from the
-    *padded* width (:func:`estimate_batch_bytes`), so ``batch_memory``
-    bounds the real tensor program, and the kernel masks padding out of
-    every commit point, so results and journal bytes are identical to
-    the unpacked plan.
+    Within a round bucket, the groups that are both dense-regime (``n``
+    below the kernel's gather threshold, where a round costs mostly
+    fixed per-call overhead) and tiny (fewer than
+    :data:`MIN_SPLIT_LANES` lanes) merge into one group run at the
+    widest merged ``n``, narrower lanes padded (cross-``n`` packing);
+    every other group keeps its own ``n``, since padding it would only
+    add work.  The ``scheduler.padded_lane_width`` /
+    ``scheduler.wasted_pad_cells`` counters say how much a plan pads.
+    The width envelope is sized from the *padded* width
+    (:func:`estimate_batch_bytes`), and the kernel masks padding out of
+    every commit point, so results and journal bytes equal a per-``n``
+    plan's.
 
     ``jobs`` is the pool width the plan will be dispatched across: a
     group large enough to keep several workers busy is cut into at
     least ``jobs`` batches (never thinner than
     :data:`MIN_SPLIT_LANES` lanes), so a homogeneous campaign cannot
-    serialize onto one worker.  Deterministic: same work list, envelope,
-    packing and jobs, same plan — and execution results are a pure
-    function of the spec, so the cut never shows in journal bytes.
+    serialize onto one worker.  Deterministic: same work list, envelope
+    and jobs, same plan — and execution results are a pure function of
+    the spec, so the cut never shows in journal bytes.
     """
     items = list(items)
-    groups: dict[tuple[int, int], list[IndexedSpec]] = {}
+    keyed: list[tuple[tuple[int, int], IndexedSpec]] = []
+    lanes: dict[tuple[int, int], int] = {}
     singles: list[IndexedSpec] = []
     for idx, spec in items:
         if batch_compatible(spec):
-            bucket = round_bucket(spec.resolved_max_rounds())
-            key = (0, bucket) if pack_widths else (spec.n, bucket)
-            groups.setdefault(key, []).append((idx, spec))
+            key = (spec.n, round_bucket(spec.resolved_max_rounds()))
+            keyed.append((key, (idx, spec)))
+            lanes[key] = lanes.get(key, 0) + 1
         else:
             singles.append((idx, spec))
+    # Key (0, bucket) is the bucket's packed group; members keep
+    # first-appearance order either way.
+    groups: dict[tuple[int, int], list[IndexedSpec]] = {}
+    for key, item in keyed:
+        n, bucket = key
+        if n < _GATHER_MIN_N and lanes[key] < MIN_SPLIT_LANES:
+            key = (0, bucket)
+        groups.setdefault(key, []).append(item)
     batches: list[PlannedBatch] = []
     padded_lane_width = wasted_pad_cells = 0
     max_batch_bytes = 0
     for (_, bucket), members in groups.items():
-        # The group's tensor width: the widest member (== every member
-        # without pack_widths).  Sizing the envelope from it is what
-        # keeps --batch-memory honest under packing.
+        # The group's tensor width: the widest member.  Sizing the
+        # envelope from it is what keeps --batch-memory honest when a
+        # group is packed.
         n = max(spec.n for _, spec in members)
         rmax = max(spec.resolved_max_rounds() for _, spec in members)
         width = default_batch_size(n, rmax, budget_bytes=batch_memory)
@@ -242,13 +252,13 @@ def plan_batches(
     plan = BatchPlan(batches=tuple(batches), singles=tuple(singles))
     if recorder:
         # Deterministic plane: the global grouping is a pure function of
-        # the work list and the packing mode (jobs only changes how
-        # groups are *cut*; padding is decided per group, not per cut).
+        # the work list (jobs only changes how groups are *cut*; padding
+        # is decided per group, not per cut).
         recorder.inc("scheduler.scenarios", plan.total)
         recorder.inc("scheduler.singles", len(plan.singles))
         recorder.inc("scheduler.groups", len(groups))
         recorder.inc("scheduler.batched_lanes", plan.batched_lanes)
-        if pack_widths:
+        if padded_lane_width:
             recorder.inc("scheduler.padded_lane_width", padded_lane_width)
             recorder.inc("scheduler.wasted_pad_cells", wasted_pad_cells)
         for members in groups.values():
@@ -280,14 +290,12 @@ def plan_batches(
             contracts.check_plan(
                 plan,
                 lambda: plan_batches(
-                    items, batch_memory, jobs, pack_widths, recorder=None,
-                    _verify=False,
+                    items, batch_memory, jobs, recorder=None, _verify=False
                 ),
                 context={
                     "scenarios": len(items),
                     "batch_memory": batch_memory,
                     "jobs": jobs,
-                    "pack_widths": pack_widths,
                 },
             )
     return plan
@@ -329,28 +337,6 @@ def run_planned_batch(
         (idx, result)
         for (idx, _), result in zip(batch.items, results)
     ]
-
-
-def iter_plan(
-    plan: BatchPlan, backend: str, compact: bool = True, recorder=None
-) -> Iterator[tuple[int, ScenarioResult]]:
-    """Execute an already-computed plan, yielding ``(index, result)``.
-
-    The serial face of the scheduler (the pool path ships the same
-    planned batches to workers instead).  Yield order is plan order —
-    batches first, then singles — but every result carries its work-list
-    index, and journal record bytes are a pure function of the spec, so
-    consumers that need grid order re-sort by index and summaries stay
-    byte-identical to any other execution order.
-    """
-    from repro.engine.executor import _run_one
-
-    for batch in plan.batches:
-        yield from run_planned_batch(
-            batch, backend, compact=compact, recorder=recorder
-        )
-    for idx, spec in plan.singles:
-        yield idx, _run_one(spec, backend, recorder=recorder)
 
 
 # ----------------------------------------------------------------------

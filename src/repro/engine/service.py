@@ -91,7 +91,7 @@ def campaign_from_submission(
     ``params``), ``grid`` (a :meth:`ScenarioGrid.to_dict` axes dict),
     or ``specs`` (explicit spec dicts — what a client sends for a
     hand-built spec list).  Engine knobs (``backend``, ``batch_memory``
-    in bytes, ``pack_widths``, ``timeout``, ``max_retries``, ``label``)
+    in bytes, ``timeout``, ``max_retries``, ``label``)
     mirror the ``campaign run`` flags so a served campaign
     journals byte-identically to the equivalent one-shot run.
     """
@@ -108,7 +108,6 @@ def campaign_from_submission(
         jobs=jobs,
         timeout=float(timeout) if timeout is not None else None,
         batch_memory=int(batch_memory) if batch_memory is not None else None,
-        pack_widths=bool(payload.get("pack_widths", False)),
         max_retries=int(payload.get("max_retries", 0) or 0),
     )
     if payload.get("family"):

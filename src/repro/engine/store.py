@@ -159,19 +159,21 @@ class ResultStore:
         self.recorder = NULL if recorder is None else recorder
         self._memory: list[ScenarioResult] = []
         self._memory_times: list[tuple[str, float]] = []
-        self._tail_checked = False
+        self._prepared = False
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _heal_torn_tail(self) -> None:
-        """Terminate a torn (newline-less) trailing line left by a killed
-        writer, so re-appended records start on their own line instead of
-        gluing onto the fragment (which would corrupt a *valid* record).
-        Checked once per store instance, before the first file append."""
-        if self._tail_checked:
+    def _prepare_file(self) -> None:
+        """Once per store instance, before the first file append: create
+        the parent directory and terminate a torn (newline-less) trailing
+        line left by a killed writer, so re-appended records start on
+        their own line instead of gluing onto the fragment (which would
+        corrupt a *valid* record)."""
+        if self._prepared:
             return
-        self._tail_checked = True
+        self._prepared = True
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists() or self.path.stat().st_size == 0:
             return
         with self.path.open("rb") as fh:
@@ -206,8 +208,7 @@ class ResultStore:
             self._memory.append(result)
             self._memory_times.append((result.scenario_id, now))
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._heal_torn_tail()
+            self._prepare_file()
             if _faults.torn_append(result):
                 # Simulate a writer killed mid-write: flush a truncated
                 # line with no newline, then die before the .times

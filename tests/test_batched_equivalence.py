@@ -781,14 +781,39 @@ MIXED_N_SPECS = [
 ]
 
 
+def _journal(specs, **kwargs) -> list[str]:
+    """Journal lines of one batched run of ``specs``, in the order they
+    are journaled (plan order), unsorted."""
+    lines: list[str] = []
+    execute_scenarios(
+        specs, backend=BACKEND_BATCHED,
+        on_result=lambda r: lines.append(journal_line(r)), **kwargs,
+    )
+    return lines
+
+
+def _per_n_results(specs, recorder=None):
+    """Batched results of each ``n``'s specs run as its own work list,
+    back in ``specs`` order."""
+    by_id = {}
+    for n in sorted({spec.n for spec in specs}):
+        part = [spec for spec in specs if spec.n == n]
+        results = execute_scenarios(
+            part, backend=BACKEND_BATCHED, recorder=recorder
+        )
+        by_id.update((r.scenario_id, r) for r in results)
+    return [by_id[spec.scenario_id] for spec in specs]
+
+
 @pytest.fixture(scope="module")
 def mixed_n_serial_lines():
-    """Journal lines of the serial, unpacked batched run of
-    :data:`MIXED_N_SPECS`."""
-    return [
-        journal_line(r)
-        for r in execute_scenarios(MIXED_N_SPECS, backend=BACKEND_BATCHED)
-    ]
+    """Journal lines of the serial batched run of :data:`MIXED_N_SPECS`,
+    which the planner packs into one padded batch."""
+    from repro.engine.scheduler import plan_batches
+
+    plan = plan_batches(list(enumerate(MIXED_N_SPECS)))
+    assert [(b.n, b.lanes) for b in plan.batches] == [(7, len(MIXED_N_SPECS))]
+    return _journal(MIXED_N_SPECS)
 
 
 class TestCrossWidthPacking:
@@ -808,81 +833,72 @@ class TestCrossWidthPacking:
             runs = simulate_fastpath_batch(_tasks(MIXED_N_SPECS), **kwargs)
             assert [_run_key(r) for r in runs] == expected, kwargs
 
-    def test_three_backends_agree_on_packed_grid(self):
-        packed = execute_scenarios(
-            MIXED_N_SPECS, backend=BACKEND_BATCHED, pack_widths=True
-        )
-        for spec, result in zip(MIXED_N_SPECS, packed):
+    def test_packed_run_agrees_with_per_n_runs_and_other_backends(self):
+        packed = execute_scenarios(MIXED_N_SPECS, backend=BACKEND_BATCHED)
+        per_n = _per_n_results(MIXED_N_SPECS)
+        for spec, result, own in zip(MIXED_N_SPECS, packed, per_n):
             assert result.status == "ok", result.error
             line = canonical_line(result)
+            assert line == canonical_line(own)
             assert line == canonical_line(execute_scenario(spec))
             assert line == canonical_line(execute_scenario_vectorized(spec))
 
-    # The whole pack x jobs x compact product against the serial
-    # unpacked baseline.
+    # The jobs x compact product against the serial journal, unsorted:
+    # serial and pool run one plan.
     @pytest.mark.parametrize(
-        "pack, jobs, compact",
+        "jobs, compact",
         [
             combo
-            for combo in itertools.product(
-                (False, True), (1, 2, 4), (True, False)
-            )
-            if combo != (False, 1, True)
+            for combo in itertools.product((1, 2, 4), (True, False))
+            if combo != (1, True)
         ],
     )
-    def test_journal_bytes_invariant_under_pack_jobs_compaction(
-        self, mixed_n_serial_lines, pack, jobs, compact
+    def test_journal_bytes_invariant_under_jobs_compaction(
+        self, mixed_n_serial_lines, jobs, compact
     ):
-        results = execute_scenarios(
-            MIXED_N_SPECS,
-            jobs=jobs,
-            backend=BACKEND_BATCHED,
-            pack_widths=pack,
-            compact=compact,
-        )
-        assert [journal_line(r) for r in results] == mixed_n_serial_lines
+        assert _journal(
+            MIXED_N_SPECS, jobs=jobs, compact=compact
+        ) == mixed_n_serial_lines
 
-    def test_packed_deterministic_plane_matches_unpacked_kernel_work(self):
+    def test_packed_deterministic_plane_matches_per_n_kernel_work(self):
         # Packing pads the *tensors*, never the per-lane programs: the
         # kernel's deterministic counters (rounds, decisions, RNG
-        # fetches) are identical with packing on or off.
+        # fetches) equal the per-n runs' sum.
         from repro.engine.telemetry import Recorder
 
-        kernel = {}
-        for pack in (False, True):
-            rec = Recorder()
-            execute_scenarios(
-                MIXED_N_SPECS,
-                backend=BACKEND_BATCHED,
-                pack_widths=pack,
-                recorder=rec,
-            )
+        packed, per_n = Recorder(), Recorder()
+        execute_scenarios(
+            MIXED_N_SPECS, backend=BACKEND_BATCHED, recorder=packed
+        )
+        _per_n_results(MIXED_N_SPECS, recorder=per_n)
+
+        def kernel(rec):
             counters = rec.snapshot()["deterministic"]["counters"]
-            kernel[pack] = {
+            return {
                 k: v for k, v in counters.items() if k.startswith("kernel.")
             }
-        assert kernel[False] == kernel[True]
 
-    def test_campaign_summary_bytes_pack_invariant(self, tmp_path):
+        assert kernel(packed) and kernel(packed) == kernel(per_n)
+
+    def test_campaign_bytes_equal_per_n_campaigns(self, tmp_path):
+        # MIXED_N_SPECS is in n order, so the per-n campaigns appending
+        # to one journal write it in grid order, as the packed plan does.
         blobs = {}
-        for pack in (False, True):
-            store = tmp_path / f"journal_pack{pack}.jsonl"
-            campaign = Campaign(
-                MIXED_N_SPECS,
-                store=store,
-                jobs=2,
-                backend=BACKEND_BATCHED,
-                pack_widths=pack,
-            )
-            report = campaign.run()
-            assert report.errors == 0 and report.timeouts == 0
-            summary = tmp_path / f"summary_pack{pack}.jsonl"
-            campaign.write_summary(summary)
-            blobs[pack] = (
-                sorted(store.read_text().splitlines()),
-                summary.read_bytes(),
-            )
-        assert blobs[False] == blobs[True]
+        for name, parts in (
+            ("packed", [MIXED_N_SPECS]),
+            ("per-n", [[s for s in MIXED_N_SPECS if s.n == n]
+                       for n in (4, 5, 6, 7)]),
+        ):
+            store = tmp_path / f"journal-{name}.jsonl"
+            for part in parts:
+                report = Campaign(
+                    part, store=store, jobs=2, backend=BACKEND_BATCHED
+                ).run()
+                assert report.errors == 0 and report.timeouts == 0
+            summary = tmp_path / f"summary-{name}.jsonl"
+            Campaign(MIXED_N_SPECS, store=store).write_summary(summary)
+            blobs[name] = (store.read_bytes(), summary.read_bytes())
+        assert blobs["packed"] == blobs["per-n"]
 
 
 # ----------------------------------------------------------------------
@@ -893,7 +909,8 @@ def _wide_grid() -> list[ScenarioSpec]:
     batched kernel's NumPy merge gathers only the ``PT_p`` senders: per
     width a noise sweep, a shrunk purge window and a no-prune lane that
     runs to its full round budget.  n = 24 and 32 share one round
-    bucket, so ``pack_widths`` pads the n = 24 lanes to 32."""
+    bucket, but in the gather regime the planner keeps each on its own
+    n."""
     specs: list[ScenarioSpec] = []
     for n in (16, 24, 32):
         for seed, noise in enumerate((0.0, 0.3)):
@@ -961,28 +978,18 @@ class TestWideLaneEquivalence:
             runs = simulate_fastpath_batch(_option_tasks(specs), **kwargs)
             assert [_run_key(r) for r in runs] == expected, kwargs
 
-    def test_journal_bytes_invariant_under_compaction_and_packing(self):
+    def test_journal_bytes_invariant_under_compaction_and_jobs(self):
         from repro.engine.scheduler import plan_batches
 
-        # Packing plans the n = 24 lanes into the n = 32 batch.
-        plan = plan_batches(list(enumerate(WIDE_GRID)), pack_widths=True)
-        assert any(
-            batch.n == 32 and {spec.n for _, spec in batch.items} == {24, 32}
+        # The planner never pads a gather-regime lane.
+        plan = plan_batches(list(enumerate(WIDE_GRID)))
+        assert all(
+            {spec.n for _, spec in batch.items} == {batch.n}
             for batch in plan.batches
         )
-        expected = [
-            journal_line(r)
-            for r in execute_scenarios(WIDE_GRID, backend=BACKEND_BATCHED)
-        ]
-        for kwargs in (
-            {"compact": False},
-            {"pack_widths": True},
-            {"pack_widths": True, "compact": False},
-        ):
-            results = execute_scenarios(
-                WIDE_GRID, backend=BACKEND_BATCHED, **kwargs
-            )
-            assert [journal_line(r) for r in results] == expected, kwargs
+        expected = _journal(WIDE_GRID)
+        for kwargs in ({"compact": False}, {"jobs": 2}):
+            assert _journal(WIDE_GRID, **kwargs) == expected, kwargs
 
 
 class TestSkeletonCache:

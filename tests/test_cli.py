@@ -27,17 +27,24 @@ class TestParser:
             ["campaign", "run", "--store", "j.jsonl", "--device", "numpy"],
             ["campaign", "serve", "--device", "numpy"],
             ["sweep", "--steal"],
+            ["campaign", "run", "--store", "j.jsonl", "--pack-widths"],
+            ["sweep", "--pack-widths"],
         ],
-        ids=["run-steal", "run-device", "serve-device", "family-steal"],
+        ids=["run-steal", "run-device", "serve-device", "family-steal",
+             "run-pack-widths", "family-pack-widths"],
     )
     def test_retired_engine_flags_are_rejected(self, argv, capsys):
-        # Work stealing and the --device array namespaces are gone: an
-        # old command line fails loudly instead of running without them.
+        # Work stealing, the --device array namespaces and the
+        # cross-n packing flag (the planner packs on its own now) are
+        # gone: an old command line fails loudly instead of running
+        # without them.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        flag = next(a for a in argv if a in ("--steal", "--device"))
+        flag = next(
+            a for a in argv if a in ("--steal", "--device", "--pack-widths")
+        )
         assert "unrecognized arguments" in err and flag in err
 
 

@@ -195,6 +195,37 @@ class TestWorkerLoss:
         # One whole-unit attempt, then four singletons at tries 1.
         assert [tries for _, tries, _ in worker.submitted] == [0, 1, 1, 1, 1]
 
+    def test_running_batch_splits_to_one_lane_batches(self):
+        # A lost batch retries as one-lane *batch* units at each lane's
+        # own n, so a chunk unit only ever holds plan singles.
+        from repro.engine.scheduler import plan_batches
+
+        specs = [
+            ScenarioSpec(n=n, k=2, num_groups=2, seed=s)
+            for n in (4, 6) for s in range(2)
+        ]
+        (batch,) = plan_batches(list(enumerate(specs))).batches
+        assert batch.n == 6
+        seen = []
+
+        def behave(worker, attempt):
+            seen.append(attempt.unit)
+            if len(attempt.unit.items) > 1:
+                attempt.report("lost", (True, "BrokenProcessPool: died"))
+            else:
+                attempt.report("done", _ok(attempt))
+
+        worker = FakeWorker(behave=behave)
+        _, results, _ = _run(
+            [Unit("batch", list(batch.items), batch)], [worker],
+            max_retries=1,
+        )
+        assert all(results[i].ok for i in range(len(specs)))
+        retried = sorted(seen[1:], key=lambda unit: unit.items[0][0])
+        assert [(u.kind, u.batch.n, u.batch.items) for u in retried] == [
+            ("batch", spec.n, ((i, spec),)) for i, spec in enumerate(specs)
+        ]
+
     def test_no_live_worker_left_journals_the_rest_retriable(self):
         def drop(worker, attempt):
             worker.alive = False

@@ -12,15 +12,18 @@ import io
 
 import pytest
 
+from repro.engine.backends import batch_compatible
 from repro.engine.executor import ScenarioResult
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.scheduler import (
     BATCH_DEPTH,
+    MIN_SPLIT_LANES,
     BatchPlan,
     ProgressReporter,
     plan_batches,
     round_bucket,
 )
+from repro.rounds.array_backend import _GATHER_MIN_N
 from repro.rounds.fastpath import default_batch_size
 
 
@@ -58,6 +61,12 @@ JOBS_INVARIANCE_GRIDS = {
     # One 64-lane group: jobs alone decides how many batches it becomes.
     "one-group": lambda: _with_singles(
         [_grouped(6, seed) for seed in range(64)], every=9
+    ),
+    # Sparse n = 4..7 (7 lanes each) that the planner packs into one
+    # padded group, interleaved spec by spec.
+    "sparse-mixed-n": lambda: _with_singles(
+        [_grouped(n, seed) for seed in range(7) for n in (6, 4, 7, 5)],
+        every=11,
     ),
     # One n over four round buckets, interleaved spec by spec.
     "round-buckets": lambda: _with_singles(
@@ -169,8 +178,7 @@ class TestPlanBatches:
         ]
 
     @pytest.mark.parametrize("grid", sorted(JOBS_INVARIANCE_GRIDS))
-    @pytest.mark.parametrize("pack_widths", [False, True])
-    def test_item_order_is_jobs_invariant(self, pack_widths, grid):
+    def test_item_order_is_jobs_invariant(self, grid):
         # A remote fleet plans with jobs = its worker count and releases
         # results in the plan's item order, so the journal order equals
         # the serial run's only if jobs merely cuts groups and never
@@ -183,9 +191,9 @@ class TestPlanBatches:
                 idx for idx, _ in plan.singles
             ]
 
-        serial = plan_batches(items, jobs=1, pack_widths=pack_widths)
+        serial = plan_batches(items, jobs=1)
         for jobs in (2, 3, 4, 8):
-            plan = plan_batches(items, jobs=jobs, pack_widths=pack_widths)
+            plan = plan_batches(items, jobs=jobs)
             assert len(plan.batches) > len(serial.batches), jobs
             assert item_order(plan) == item_order(serial), jobs
 
@@ -290,47 +298,162 @@ class TestCampaignProgress:
         assert stream.getvalue() == ""
 
 
+def _hetero(n, i, seed):
+    """Lane ``i`` of a HETERO-LAT mix: four noise-sweep lanes, one with
+    a shrunk purge window, one without pruning."""
+    if i % 6 == 5:
+        return ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.35,
+                            options=(("prune_unreachable", False),))
+    if i % 6 == 4:
+        return ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.35,
+                            options=(("purge_window", n // 2),))
+    return _grouped(n, seed, noise=(0.0, 0.15, 0.3, 0.45)[i % 4])
+
+
+def _small_n_mix(count, ns=(4, 5, 6, 7, 8), base=0):
+    """``count`` specs cycling through ``ns``, k = 1..3 and the grouped,
+    crash, partition and static adversaries, as a small-n sweep does."""
+    adversaries = ("grouped", "grouped", "crash", "partition", "static")
+    specs = []
+    for i in range(count):
+        n, k = ns[i % len(ns)], 1 + (i // len(ns)) % 3
+        adversary = adversaries[(i // (3 * len(ns))) % len(adversaries)]
+        seed = base + i
+        if adversary == "grouped":
+            specs.append(ScenarioSpec(n=n, k=k, num_groups=k, seed=seed,
+                                      noise=0.1 * (i % 4)))
+        elif adversary == "crash":
+            specs.append(ScenarioSpec(n=n, k=k, seed=seed, adversary="crash",
+                                      options=(("f", k),)))
+        else:
+            specs.append(ScenarioSpec(n=n, k=k, seed=seed,
+                                      adversary=adversary))
+    return specs
+
+
+#: Segments shaped like the repository benchmark's large-n, small-n
+#: sweep and fleet workloads (each with its warm-up grid): every group
+#: is either in the gather regime or at least MIN_SPLIT_LANES lanes.
+PER_N_SEGMENTS = {
+    "large-n": lambda: (
+        [_hetero(24, i, i) for i in range(6)]
+        + [_hetero(32, i, i) for i in range(12)]
+        + [_grouped(48, 0)]
+    ),
+    "large-n-warmup": lambda: [
+        _hetero(n, i, i) for n in (16, 20) for i in range(6)
+    ],
+    "small-n-sweep": lambda: _small_n_mix(1500),
+    "fleet": lambda: _small_n_mix(1200, base=10**6),
+    "small-n-warmup": lambda: _small_n_mix(150, ns=(9, 10)),
+}
+
+
+def _per_n_groups(specs):
+    """Work-list indices grouped by ``(n, round bucket)`` in
+    first-appearance order: the grouping without cross-n packing."""
+    groups = {}
+    for idx, spec in enumerate(specs):
+        if batch_compatible(spec):
+            key = (spec.n, round_bucket(spec.resolved_max_rounds()))
+            groups.setdefault(key, []).append(idx)
+    return list(groups.values())
+
+
+def _plan_groups(plan):
+    """The plan's groups (consecutive batches of one ``(n, bucket)``
+    rejoined); every batch must hold one ``n`` only."""
+    groups, last = [], None
+    for batch in plan.batches:
+        assert {spec.n for _, spec in batch.items} == {batch.n}
+        if (batch.n, batch.bucket) != last:
+            groups.append([])
+            last = (batch.n, batch.bucket)
+        groups[-1].extend(idx for idx, _ in batch.items)
+    return groups
+
+
 class TestCrossWidthPlanning:
-    """pack_widths grouping, the padded envelope, and batch splitting."""
+    """The packing rule (within a round bucket, tiny dense-regime groups
+    merge into one padded group; every other group keeps its own ``n``),
+    the padded envelope, and batch splitting."""
 
-    def test_pack_widths_merges_one_group_per_bucket(self):
-        # n 4..7 share the 64-round bucket: unpacked plans one tensor
-        # program per n, packed collapses them into a single program at
-        # the widest member's width.
-        specs = [_grouped(n, seed) for n in (4, 5, 6, 7) for seed in range(2)]
-        items = list(enumerate(specs))
-        unpacked = plan_batches(items)
-        assert sorted(b.n for b in unpacked.batches) == [4, 5, 6, 7]
-        packed = plan_batches(items, pack_widths=True)
-        assert len(packed.batches) == 1
-        (batch,) = packed.batches
-        assert batch.n == 7
-        assert batch.lanes == len(specs)
-        assert sorted(idx for idx, _ in batch.items) == list(
-            range(len(specs))
-        )
+    def test_sparse_small_n_grid_packs_into_one_batch_per_bucket(self):
+        # n = 4..7 resolve inside the 64-round budget; the same widths
+        # with a 200-round budget share the 256 bucket.
+        specs = [
+            _grouped(n, seed, max_rounds=rounds)
+            for seed in range(2)
+            for rounds in (None, 200)
+            for n in (5, 7, 4, 6)
+        ]
+        plan = plan_batches(list(enumerate(specs)))
+        assert [(b.bucket, b.n, b.lanes) for b in plan.batches] == [
+            (64, 7, 8), (256, 7, 8),
+        ]
+        for batch in plan.batches:
+            # Members keep first-appearance order.
+            indices = [idx for idx, _ in batch.items]
+            assert indices == sorted(indices)
+            assert {spec.n for _, spec in batch.items} == {4, 5, 6, 7}
 
-    def test_pack_widths_respects_round_buckets(self):
+    def test_packing_respects_round_buckets(self):
         # n=4 resolves to 44 rounds (bucket 64), n=8 to 68 (bucket 128):
         # packing never merges across round budgets.
         specs = [_grouped(4, 0), _grouped(8, 0)]
-        packed = plan_batches(list(enumerate(specs)), pack_widths=True)
-        assert sorted(b.bucket for b in packed.batches) == [64, 128]
-        assert sorted(b.n for b in packed.batches) == [4, 8]
+        plan = plan_batches(list(enumerate(specs)))
+        assert sorted(b.bucket for b in plan.batches) == [64, 128]
+        assert sorted(b.n for b in plan.batches) == [4, 8]
+
+    def test_group_of_min_split_lanes_keeps_its_own_n(self):
+        specs = [_grouped(5, seed) for seed in range(MIN_SPLIT_LANES)]
+        specs += [_grouped(n, seed) for seed in range(3) for n in (4, 6)]
+        plan = plan_batches(list(enumerate(specs)))
+        assert [(b.n, sorted({s.n for _, s in b.items}), b.lanes)
+                for b in plan.batches] == [
+            (5, [5], MIN_SPLIT_LANES), (6, [4, 6], 6),
+        ]
+        # One lane fewer and the n = 5 group joins the packed one.
+        plan = plan_batches(list(enumerate(specs[1:])))
+        assert [(b.n, b.lanes) for b in plan.batches] == [
+            (6, MIN_SPLIT_LANES - 1 + 6),
+        ]
+
+    def test_gather_regime_groups_never_merge(self):
+        # n = 24 and 32 share the 256-round bucket, but from the gather
+        # threshold up padding only adds work: both keep their own n.
+        specs = [_hetero(24, i, i) for i in range(6)]
+        specs += [_hetero(32, i, i) for i in range(12)]
+        assert specs[0].n >= _GATHER_MIN_N
+        plan = plan_batches(list(enumerate(specs)))
+        assert _plan_groups(plan) == _per_n_groups(specs)
+        assert [b.n for b in plan.batches] == [24, 32]
+
+    @pytest.mark.parametrize("segment", sorted(PER_N_SEGMENTS))
+    def test_benchmark_shaped_segments_plan_per_n(self, segment):
+        from repro.engine.telemetry import Recorder
+
+        specs = PER_N_SEGMENTS[segment]()
+        rec = Recorder()
+        plan = plan_batches(list(enumerate(specs)), recorder=rec)
+        assert _plan_groups(plan) == _per_n_groups(specs)
+        det = rec.snapshot()["deterministic"]["counters"]
+        assert "scheduler.padded_lane_width" not in det
 
     def test_pad_counters_live_on_the_deterministic_plane(self):
         from repro.engine.telemetry import Recorder
 
         specs = [_grouped(4, 0), _grouped(4, 1), _grouped(7, 0)]
         rec = Recorder()
-        plan_batches(list(enumerate(specs)), pack_widths=True, recorder=rec)
+        plan_batches(list(enumerate(specs)), recorder=rec)
         det = rec.snapshot()["deterministic"]["counters"]
         # Two n=4 lanes padded up to width 7.
         assert det["scheduler.padded_lane_width"] == 2 * 7
         assert det["scheduler.wasted_pad_cells"] == 2 * (49 - 16)
-        # Without packing the counters are absent, not zero.
+        # A plan that pads nothing records the counters absent, not
+        # zero.
         rec2 = Recorder()
-        plan_batches(list(enumerate(specs)), recorder=rec2)
+        plan_batches(list(enumerate(specs[:2])), recorder=rec2)
         det2 = rec2.snapshot()["deterministic"]["counters"]
         assert "scheduler.padded_lane_width" not in det2
         assert "scheduler.wasted_pad_cells" not in det2
@@ -346,9 +469,7 @@ class TestCrossWidthPlanning:
         rmax = _grouped(7, 0).resolved_max_rounds()  # 62
         budget = 3 * lane_bytes(7, rmax)
         specs = [_grouped(4, s) for s in range(6)] + [_grouped(7, 0)]
-        packed = plan_batches(
-            list(enumerate(specs)), batch_memory=budget, pack_widths=True
-        )
+        packed = plan_batches(list(enumerate(specs)), batch_memory=budget)
         (batch,) = packed.batches
         assert batch.n == 7
         assert batch.width == default_batch_size(7, rmax, budget_bytes=budget)

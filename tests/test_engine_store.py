@@ -4,6 +4,7 @@ summaries, corruption tolerance."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -77,6 +78,22 @@ class TestResultStore:
             store.append(result)
         loaded = ResultStore(tmp_path / "sub" / "journal.jsonl").load()
         assert loaded == {r.scenario_id: r for r in results}
+
+    def test_appends_create_the_directory_once(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = os.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        store = ResultStore(tmp_path / "sub" / "journal.jsonl")
+        results = [_ok_result(seed) for seed in range(5)]
+        for result in results:
+            store.append(result)
+        assert len(made) <= 1
+        assert len(store.load()) == len(results)
 
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -179,10 +179,11 @@ class TestSidecar:
 # ----------------------------------------------------------------------
 # Engine threading: determinism and journal purity
 # ----------------------------------------------------------------------
-def _latency_campaign(store, jobs=1, recorder=None, backend=None):
+def _latency_campaign(store, jobs=1, recorder=None, backend=None,
+                      params=None):
     campaign = family_campaign(
         "latency",
-        {"n": [5, 6], "seeds": 2, "noise": [0.1]},
+        params or {"n": [5, 6], "seeds": 2, "noise": [0.1]},
         store=store,
         jobs=jobs,
         backend=backend,
@@ -253,12 +254,37 @@ class TestDeterministicPlane:
         assert det["store.resume_hits"] == len(first.specs) > 0
         assert det.get("store.appends", 0) == 0
 
+    def test_direct_batched_run_invariant_across_jobs(self):
+        """A direct batched ``execute_scenarios`` call (no campaign
+        plan) records one det plane serially and on a pool: both plan
+        their units with the caller's recorder."""
+        from repro.engine.executor import execute_scenarios
+
+        specs = termination_grid(ns=[5, 6], seeds=range(3), noise=0.2)
+        planes = {}
+        for jobs in (1, 2):
+            rec = Recorder()
+            execute_scenarios(
+                specs, jobs=jobs, backend="batched", recorder=rec
+            )
+            planes[jobs] = rec.snapshot()["deterministic"]
+        assert planes[1] == planes[2]
+        assert planes[1]["counters"]["scheduler.scenarios"] == len(specs)
+        assert planes[1]["histograms"]["scheduler.group_lanes"]
+
     def test_worker_profiles_merged_under_pool(self, tmp_path):
         """Pool workers return snapshots; the parent merge must surface
         per-worker info and utilization."""
+        from repro.engine.dispatch import plan_units
+
+        # n = 5 and 8 land in two round buckets: two units, so the pool
+        # starts two workers.
+        params = {"n": [5, 8], "seeds": 2, "noise": [0.1]}
+        specs = family_campaign("latency", params).specs
+        assert len(plan_units(list(enumerate(specs)), "auto", jobs=2)) >= 2
         rec = Recorder()
         _latency_campaign(
-            str(tmp_path / "j.jsonl"), jobs=2, recorder=rec
+            str(tmp_path / "j.jsonl"), jobs=2, recorder=rec, params=params
         )
         vol = rec.snapshot()["volatile"]
         workers = vol["info"]["executor.workers"]
