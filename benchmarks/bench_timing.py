@@ -11,6 +11,7 @@ def interleaved_best(
     min_repeats: int = 7,
     max_repeats: int = 60,
     converge: float = 0.015,
+    rounds: list | None = None,
 ) -> tuple[list[float], bool]:
     """Best-of wall-clock per candidate with *interleaved* repeats.
 
@@ -26,17 +27,23 @@ def interleaved_best(
     identical code converge given enough samples (minima only ever
     improve).  Returns ``(floors, converged)``; a ``False`` flag means
     the box was too noisy to resolve ``converge`` within
-    ``max_repeats`` rounds."""
+    ``max_repeats`` rounds.  A ``rounds`` list, if given, receives each
+    timed round's walls in candidate order, for spreads over blocks of
+    the same rounds."""
     best = [float("inf")] * len(fns)
     for fn in fns:  # warm caches/allocators outside the timed rounds
         fn()
     converged = False
     for r in range(max_repeats):
+        walls = [0.0] * len(fns)
         for i in range(len(fns)):
             j = (i + r) % len(fns)
             t0 = time.perf_counter()
             fns[j]()
-            best[j] = min(best[j], time.perf_counter() - t0)
+            walls[j] = time.perf_counter() - t0
+            best[j] = min(best[j], walls[j])
+        if rounds is not None:
+            rounds.append(walls)
         converged = r + 1 >= min_repeats and all(
             max(best[i], best[j]) / min(best[i], best[j]) - 1 < converge
             for i, j in pairs

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import pathlib
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -46,9 +47,14 @@ MAX_SINGLE_WORKER_OVERHEAD = 4.0
 
 # Interleaved rounds per leg.  On a 2-vCPU host each leg of the
 # 96-scenario grid takes 50-70 ms, so the timing costs ~4 s; single
-# shots of these legs swing by up to 1.6x there, while best-of-20 floors
-# kept the single-worker overhead within 0.15-0.24 over four suite runs.
+# shots of these legs swing by up to 1.6x there, and even the best-of-20
+# single-worker overhead read 0.02-0.42 over six back-to-back runs.
 TIMED_ROUNDS = 20
+
+# The same rounds cut into blocks: each block's best-of-BLOCK_ROUNDS
+# overhead is one more reading of the same quantity, so their min,
+# median and max show how far apart one run's readings already fall.
+BLOCK_ROUNDS = 5
 
 
 def _boot_workers(tmp_path, count):
@@ -96,6 +102,17 @@ def _stop_workers(procs):
             proc.communicate(timeout=10)
 
 
+def _block_overheads(rounds, size):
+    """The single-worker overhead of each block of ``size`` consecutive
+    rounds, from the block's serial and one-worker floors."""
+    overheads = []
+    for start in range(0, len(rounds), size):
+        block = rounds[start:start + size]
+        serial = min(walls[0] for walls in block)
+        overheads.append(min(walls[1] for walls in block) / serial - 1.0)
+    return overheads
+
+
 def test_bench_dist_scale(benchmark, emit, record_dist_scale, tmp_path):
     specs = termination_grid(ns=[8, 10], seeds=range(48), noise=0.15)
     serial_lines = [
@@ -116,10 +133,11 @@ def test_bench_dist_scale(benchmark, emit, record_dist_scale, tmp_path):
             lambda: execute_remote(specs, endpoints[:1], backend="batched"),
             lambda: execute_remote(specs, endpoints[:2], backend="batched"),
         ]
+        rounds = []
         (serial_s, one_s, two_s), _ = benchmark.pedantic(
             lambda: interleaved_best(
                 legs, pairs=[], min_repeats=TIMED_ROUNDS,
-                max_repeats=TIMED_ROUNDS,
+                max_repeats=TIMED_ROUNDS, rounds=rounds,
             ),
             rounds=1,
             iterations=1,
@@ -129,6 +147,7 @@ def test_bench_dist_scale(benchmark, emit, record_dist_scale, tmp_path):
     fleet_s = {1: one_s, 2: two_s}
 
     overhead_1w = fleet_s[1] / serial_s - 1.0
+    blocks = sorted(_block_overheads(rounds, BLOCK_ROUNDS))
     assert overhead_1w < MAX_SINGLE_WORKER_OVERHEAD, (
         f"single-worker remote dispatch is {overhead_1w:+.0%} over serial "
         "— transport or shard-merge got pathologically expensive"
@@ -152,9 +171,18 @@ def test_bench_dist_scale(benchmark, emit, record_dist_scale, tmp_path):
                 },
             },
             "single_worker_overhead": round(overhead_1w, 4),
+            "single_worker_overhead_blocks": {
+                "blocks": len(blocks),
+                "min": round(blocks[0], 4),
+                "median": round(statistics.median(blocks), 4),
+                "max": round(blocks[-1], 4),
+            },
             "method": f"interleaved best-of-{TIMED_ROUNDS} over the "
             "serial, 1-worker and 2-worker legs, after the byte-identity "
-            "runs",
+            f"runs; the blocks are the same rounds cut into "
+            f"{len(blocks)} runs of {BLOCK_ROUNDS}, each block's "
+            f"best-of-{BLOCK_ROUNDS} overhead summarized by min, median "
+            "and max",
             "cpu_count": os.cpu_count(),
             "note": "single-host CI: workers share the coordinator's "
             "cores, so these numbers measure transport+merge overhead "

@@ -195,6 +195,20 @@ class TestInterleavedBest:
         assert floors == pytest.approx([1.0, 1.005])
         assert clock.calls.count("b") == 1 + 12
 
+    def test_rounds_receive_each_rounds_walls_in_candidate_order(
+        self, clock
+    ):
+        fns = [
+            clock.candidate("a", [9.0, 1.0, 2.0, 3.0]),
+            clock.candidate("b", [9.0, 4.0, 5.0, 6.0]),
+        ]
+        rounds = []
+        floors, _ = interleaved_best(
+            fns, pairs=[], min_repeats=3, max_repeats=3, rounds=rounds
+        )
+        assert rounds == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
+        assert floors == [1.0, 4.0]
+
 
 @pytest.fixture
 def results_sections(pytestconfig, tmp_path):

@@ -124,6 +124,9 @@ class NullContracts:
                                      context=None) -> None:
         pass
 
+    def check_scenario_id(self, spec, context=None) -> None:
+        pass
+
     def check_merge_commutative(self, snapshots, context=None) -> None:
         pass
 
@@ -267,6 +270,25 @@ class Contracts:
                 "canonical summary line depends on the producing "
                 "backend",
                 context or {},
+            )
+
+    def check_scenario_id(
+        self,
+        spec: Any,
+        context: dict | None = None,
+    ) -> None:
+        """Scenario-id cache coherence: the id a spec carries must equal
+        the content hash re-derived from its fields without the cache
+        (a stale cached id would journal a result under another
+        scenario's resume key)."""
+        self.checks += 1
+        derived = spec.derive_id()
+        if spec.scenario_id != derived:
+            self._raise(
+                "scenarios.id",
+                f"cached scenario id {spec.scenario_id!r} differs from "
+                f"the id {derived!r} re-derived from the spec's fields",
+                {"seed": spec.seed, **(context or {})},
             )
 
     def check_merge_commutative(

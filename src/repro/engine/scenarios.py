@@ -141,13 +141,44 @@ class ScenarioSpec:
         equal: ``noise=0`` and ``noise=0.0`` are the same spec (dataclass
         equality) and must be the same scenario (integer-valued floats
         are canonicalized to ints before hashing).
+
+        Computed once per spec object (see :meth:`derive_id`) and cached
+        on the instance — the spec is frozen, so the id cannot go stale.
+        The cache is no field: it stays out of ``==``, ``hash``,
+        ``repr`` and :meth:`to_dict`; :meth:`with_options`,
+        ``dataclasses.replace`` and :meth:`from_dict` build new specs
+        that hash afresh, and a pickled spec carries its id along.
         """
-        payload = json.dumps(
-            _canonical_json(self.to_dict()),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        try:
+            return self._scenario_id
+        except AttributeError:
+            sid = self.derive_id()
+            object.__setattr__(self, "_scenario_id", sid)
+            return sid
+
+    def derive_id(self) -> str:
+        """The content hash of :attr:`scenario_id`, recomputed from the
+        fields without reading or filling the cache.
+
+        Hashes the same canonical JSON as ``_canonical_json(to_dict())``
+        would, built flat from the fields and encoded by one shared
+        encoder, so every id is byte-identical to the historical one.
+        """
+        canon = _canonical_json
+        payload = {
+            "algorithm": self.algorithm,
+            "adversary": self.adversary,
+            "n": canon(self.n),
+            "k": canon(self.k),
+            "num_groups": canon(self.num_groups),
+            "seed": canon(self.seed),
+            "noise": canon(self.noise),
+            "topology": canon(self.topology),
+            "max_rounds": canon(self.max_rounds),
+            "options": {k: canon(v) for k, v in self.options},
+        }
+        text = _ID_ENCODER.encode(payload)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
     def to_dict(self) -> dict:
         """JSON-friendly canonical form (inverse of :meth:`from_dict`)."""
@@ -189,16 +220,26 @@ class ScenarioSpec:
         return ALGORITHMS[self.algorithm](self)
 
 
+#: The canonical id encoding (``json.dumps`` with these options would
+#: build a new encoder on every call).
+_ID_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Exact types that are canonical JSON as they are.
+_JSON_ATOMS = frozenset({int, str, bool, type(None)})
+
+
 def _canonical_json(value: Any) -> Any:
     """Normalize a JSON-ready value for hashing: integer-valued floats
     become ints (``0.0`` → ``0``) so that specs that compare equal hash
     equal; containers are normalized recursively."""
+    if value.__class__ in _JSON_ATOMS:
+        return value
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
     if isinstance(value, dict):
         return {k: _canonical_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical_json(v) for v in value]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     return value
 
 

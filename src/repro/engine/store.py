@@ -202,6 +202,10 @@ class ResultStore:
                     "seed": result.spec.seed,
                 },
             )
+        if contracts and contracts.sample("scenarios.id"):
+            contracts.check_scenario_id(
+                result.spec, context={"backend": result.backend}
+            )
         line = journal_line(result)
         now = time.time()
         if self.path is None:
@@ -239,7 +243,8 @@ class ResultStore:
     # Reading
     # ------------------------------------------------------------------
     def iter_results(self) -> Iterator[ScenarioResult]:
-        """All journaled results in append order (corrupt lines skipped)."""
+        """All journaled results in append order (corrupt lines, and
+        records whose stored ``id`` is not their spec's, skipped)."""
         if self.path is None:
             yield from self._memory
             return
@@ -254,15 +259,19 @@ class ResultStore:
                     record = json.loads(line)
                     if not isinstance(record, dict):
                         continue
-                    yield decode_result(record)
+                    result = decode_result(record)
+                    sid = result.scenario_id
+                    if record.get("id", sid) != sid:
+                        raise ValueError("record id differs from its spec's")
                 except SchemaVersionError:
                     raise
                 except (json.JSONDecodeError, AttributeError, KeyError,
                         TypeError, ValueError):
-                    # Partial trailing line from a killed writer, or a
+                    # Partial trailing line from a killed writer, a
                     # foreign line (TypeError/AttributeError: valid JSON
                     # whose spec is missing ScenarioSpec fields or has
-                    # the wrong shape): resume simply re-runs that
+                    # the wrong shape), or a record whose stored id is
+                    # not its spec's: resume simply re-runs that
                     # scenario.
                     log.warning(
                         "skipping %s journal line %d in %s "
@@ -273,6 +282,7 @@ class ResultStore:
                         lineno, self.path, len(raw),
                     )
                     continue
+                yield result
 
     def append_times(self) -> list[tuple[str, float]]:
         """(scenario_id, unix_time) per journaled append, in append order.

@@ -48,6 +48,7 @@ def test_null_contracts_is_falsy_and_inert():
     NO_CONTRACTS.check_plan(None, None)
     NO_CONTRACTS.check_lane_identity({}, {"x": 1})
     NO_CONTRACTS.check_canonical_backend_free("a", "b")
+    NO_CONTRACTS.check_scenario_id(None)
     NO_CONTRACTS.check_merge_commutative([])
 
 
@@ -203,6 +204,35 @@ def test_check_canonical_backend_free():
     with pytest.raises(ContractViolation) as info:
         active.check_canonical_backend_free("x", "y", context={"id": "a"})
     assert info.value.contract == "store.canonical_backend_free"
+
+
+def _stale_id(spec: ScenarioSpec) -> ScenarioSpec:
+    """Overwrite the spec's cached id, as a corrupted cache would."""
+    object.__setattr__(spec, "_scenario_id", "0123456789ab")
+    assert spec.scenario_id == "0123456789ab" != spec.derive_id()
+    return spec
+
+
+def test_check_scenario_id():
+    active = Contracts()
+    spec = _spec()
+    active.check_scenario_id(spec)
+    with pytest.raises(ContractViolation) as info:
+        active.check_scenario_id(_stale_id(spec), context={"backend": "x"})
+    assert info.value.contract == "scenarios.id"
+    assert info.value.repro == {"seed": spec.seed, "backend": "x"}
+
+
+def test_stale_cached_id_caught_on_append_only_when_armed():
+    from repro.engine.executor import execute_scenario
+
+    result = execute_scenario(_spec())
+    _stale_id(result.spec)
+    # Off: the check never runs (pymor's disabled-contracts idiom).
+    ResultStore(None).append(result)
+    with contracts_enabled():
+        with pytest.raises(ContractViolation, match=r"\[scenarios\.id\]"):
+            ResultStore(None).append(result)
 
 
 def test_check_merge_commutative_passes_on_real_snapshots():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.adversaries.crash import CrashAdversary
@@ -9,6 +12,7 @@ from repro.adversaries.grouped import GroupedSourceAdversary
 from repro.adversaries.partition import PartitionAdversary
 from repro.baselines.floodmin import FloodMinProcess
 from repro.core.algorithm import SkeletonAgreementProcess
+from repro.engine import scenarios
 from repro.engine.scenarios import (
     ScenarioGrid,
     ScenarioSpec,
@@ -105,6 +109,152 @@ class TestScenarioSpec:
             f=2
         ).build_processes()
         assert all(isinstance(p, FloodMinProcess) for p in procs)
+
+
+#: Pinned content ids.  Every journal ever written is keyed by these
+#: hashes, so a change here makes resume re-run every stored scenario.
+GOLDEN_IDS = {
+    "adversary-crash": "daa286108806",
+    "adversary-eventual": "e174804e4d4d",
+    "adversary-figure1": "9da372d0fb82",
+    "adversary-gnp": "64a14e2d6b18",
+    "adversary-grouped": "a438410626cb",
+    "adversary-partition": "f15e9d31281d",
+    "adversary-static": "9ec4ca8f7b54",
+    "algorithm-algorithm1": "08a90e3c9792",
+    "algorithm-async_kset": "0e88cea6946b",
+    "algorithm-flooding": "58f0afd534e5",
+    "algorithm-floodmin": "6c6fe7507b8d",
+    "algorithm-local_min": "4a023f87dc8f",
+    "noise-int-0": "54372f82c5b8",
+    "noise-float-0.0": "54372f82c5b8",
+    "noise-0.30000000000000004": "30065c2fddfc",
+    "noise-0.3": "3416405cec38",
+    "options-int": "e38ba885eb71",
+    "options-float-valued-int": "e38ba885eb71",
+    "option-bool": "2f19a1ccb82b",
+    "option-str": "f42c594a7b5c",
+    "option-tuple": "77cc85df963a",
+    "option-nested-tuple": "632adc05ee49",
+    "n-float-valued-int": "54372f82c5b8",
+    "max_rounds-None": "54372f82c5b8",
+    "max_rounds-int": "4b7804836882",
+    "max_rounds-float-valued-int": "4b7804836882",
+}
+
+_BUILTIN_ADVERSARIES = (
+    "crash", "eventual", "figure1", "gnp", "grouped", "partition", "static",
+)
+_BUILTIN_ALGORITHMS = (
+    "algorithm1", "async_kset", "flooding", "floodmin", "local_min",
+)
+
+
+def _golden_spec(name: str) -> ScenarioSpec:
+    kind, _, value = name.partition("-")
+    if kind == "adversary":
+        return ScenarioSpec(n=6, k=2, num_groups=2, seed=3, noise=0.15,
+                            adversary=value)
+    if kind == "algorithm":
+        return ScenarioSpec(n=6, k=2, seed=3, algorithm=value)
+    return {
+        "noise-int-0": lambda: ScenarioSpec(n=5, noise=0),
+        "noise-float-0.0": lambda: ScenarioSpec(n=5, noise=0.0),
+        "noise-0.30000000000000004": lambda: ScenarioSpec(
+            n=5, noise=0.30000000000000004),
+        "noise-0.3": lambda: ScenarioSpec(n=5, noise=0.3),
+        "options-int": lambda: ScenarioSpec(
+            n=5, options=(("f", 2), ("horizon", 3))),
+        "options-float-valued-int": lambda: ScenarioSpec(
+            n=5, options=(("f", 2.0), ("horizon", 3.0))),
+        "option-bool": lambda: ScenarioSpec(
+            n=5, options=(("prune_unreachable", False),)),
+        "option-str": lambda: ScenarioSpec(n=5, options=(("label", "x"),)),
+        "option-tuple": lambda: ScenarioSpec(
+            n=5, options=(("rounds", (1, 2.0, 3.5)),)),
+        "option-nested-tuple": lambda: ScenarioSpec(
+            n=5, options=(("pairs", ((1, 2.0), (3,))),)),
+        "n-float-valued-int": lambda: ScenarioSpec(n=5.0),
+        "max_rounds-None": lambda: ScenarioSpec(n=5, max_rounds=None),
+        "max_rounds-int": lambda: ScenarioSpec(n=5, max_rounds=40),
+        "max_rounds-float-valued-int": lambda: ScenarioSpec(
+            n=5, max_rounds=40.0),
+    }[name]()
+
+
+class TestGoldenIds:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_IDS))
+    def test_id_is_pinned(self, name):
+        spec = _golden_spec(name)
+        assert spec.scenario_id == GOLDEN_IDS[name]
+        assert spec.derive_id() == GOLDEN_IDS[name]
+
+    def test_every_builtin_name_is_pinned(self):
+        names = {name.partition("-")[2] for name in GOLDEN_IDS}
+        assert set(_BUILTIN_ADVERSARIES) <= names
+        assert set(_BUILTIN_ALGORITHMS) <= names
+        scenarios._load_family_registrations()
+        assert set(_BUILTIN_ADVERSARIES) <= set(scenarios.ADVERSARIES)
+        assert set(_BUILTIN_ALGORITHMS) <= set(scenarios.ALGORITHMS)
+
+
+class TestIdCache:
+    STALE = "0123456789ab"
+
+    def _stale(self, **fields) -> ScenarioSpec:
+        """A spec whose cached id was overwritten: any copy that reuses
+        the cache instead of hashing afresh shows the stale value."""
+        spec = ScenarioSpec(**{"n": 6, "k": 2, "seed": 3, **fields})
+        object.__setattr__(spec, "_scenario_id", self.STALE)
+        assert spec.scenario_id == self.STALE
+        return spec
+
+    def test_hashes_once_per_spec_object(self, monkeypatch):
+        calls = []
+        derive = ScenarioSpec.derive_id
+        monkeypatch.setattr(
+            ScenarioSpec, "derive_id",
+            lambda self: calls.append(self) or derive(self),
+        )
+        spec = ScenarioSpec(n=6, k=2, seed=3)
+        ids = {spec.scenario_id for _ in range(5)}
+        assert len(calls) == 1 and ids == {derive(spec)}
+        ScenarioSpec(n=6, k=2, seed=3).scenario_id
+        assert len(calls) == 2
+
+    def test_replace_and_with_options_hash_afresh(self):
+        spec = self._stale(options=(("f", 1),))
+        fresh = ScenarioSpec(n=6, k=2, seed=3, options=(("f", 1),))
+        assert replace(spec).scenario_id == fresh.scenario_id
+        assert spec.with_options().scenario_id == fresh.scenario_id
+        assert (
+            ScenarioSpec.from_dict(spec.to_dict()).scenario_id
+            == fresh.scenario_id
+        )
+        assert replace(spec, seed=4).scenario_id not in (
+            self.STALE, fresh.scenario_id,
+        )
+        assert spec.with_options(f=2).scenario_id not in (
+            self.STALE, fresh.scenario_id,
+        )
+
+    def test_pickling_keeps_the_id(self):
+        spec = ScenarioSpec(n=6, k=2, seed=3, options=(("f", 1),))
+        cold = pickle.loads(pickle.dumps(spec))
+        assert cold.scenario_id == spec.scenario_id
+        spec.scenario_id
+        warm = pickle.loads(pickle.dumps(spec))
+        assert warm == spec and warm.scenario_id == spec.scenario_id
+
+    def test_cache_is_not_part_of_the_value(self):
+        cached = self._stale()
+        plain = ScenarioSpec(n=6, k=2, seed=3)
+        assert cached == plain and hash(cached) == hash(plain)
+        assert repr(cached) == repr(plain)
+        assert "_scenario_id" not in repr(cached)
+        assert cached.to_dict() == plain.to_dict()
+        assert "_scenario_id" not in cached.to_dict()
+        assert plain.scenario_id != self.STALE
 
 
 class TestScenarioGrid:

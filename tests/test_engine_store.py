@@ -4,12 +4,14 @@ summaries, corruption tolerance."""
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 import pytest
 
+from repro.engine.campaign import Campaign
 from repro.engine.executor import ScenarioResult, execute_scenario
-from repro.engine.scenarios import ScenarioSpec
+from repro.engine.scenarios import ScenarioGrid, ScenarioSpec
 from repro.engine.store import (
     ResultStore,
     SchemaVersionError,
@@ -169,3 +171,56 @@ class TestResultStore:
         ids = [json.loads(line)["id"] for line in lines]
         assert ids == [specs[0].scenario_id, specs[1].scenario_id,
                        specs[2].scenario_id]
+
+
+class TestJournalIds:
+    """A journal record is keyed by the hash of its decoded spec; a
+    stored ``id`` that disagrees with it marks the line corrupt."""
+
+    def test_record_without_id_still_loads(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        result = _ok_result()
+        record = encode_result(result)
+        del record["id"]
+        path.write_text(json.dumps(record) + "\n")
+        assert ResultStore(path).load() == {result.scenario_id: result}
+
+    def test_mismatched_id_skipped_like_a_corrupt_line(self, tmp_path, caplog):
+        path = tmp_path / "journal.jsonl"
+        kept, tampered = _ok_result(seed=0), _ok_result(seed=1)
+        record = encode_result(tampered)
+        record["id"] = kept.scenario_id
+        path.write_text(
+            json.dumps(encode_result(kept)) + "\n" + json.dumps(record) + "\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.engine.store"):
+            loaded = ResultStore(path).load()
+        assert loaded == {kept.scenario_id: kept}
+        assert "skipping corrupt journal line 2" in caplog.text
+
+    def test_resume_reruns_exactly_the_mismatched_scenario(self, tmp_path):
+        grid = ScenarioGrid(n=[5, 6], k=2, num_groups=[1, 2], seed=range(3),
+                            noise=0.1)
+        untouched = Campaign(grid, store=tmp_path / "a.jsonl")
+        untouched.run()
+        untouched.write_summary(tmp_path / "a.summary.jsonl")
+
+        journal = tmp_path / "b.jsonl"
+        Campaign(grid, store=journal).run()
+        lines = journal.read_text().splitlines()
+        record = json.loads(lines[4])
+        victim = record["id"]
+        record["id"] = "0123456789ab"
+        lines[4] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        journal.write_text("".join(line + "\n" for line in lines))
+
+        resumed = Campaign(grid, store=journal)
+        report = resumed.run()
+        assert (report.executed, report.skipped) == (1, len(lines) - 1)
+        rerun = json.loads(journal.read_text().splitlines()[-1])
+        assert rerun["id"] == victim
+        resumed.write_summary(tmp_path / "b.summary.jsonl")
+        assert (
+            (tmp_path / "b.summary.jsonl").read_bytes()
+            == (tmp_path / "a.summary.jsonl").read_bytes()
+        )
