@@ -6,10 +6,7 @@ base/change pairs, flipping the order every pair so slow drift of the
 host hits both sides alike.  Pair ``i`` runs both sides on seed
 ``--seed + i``.  Prints one Markdown table per workload: per-metric
 medians, the base's interquartile range, pairs won, and the verdict of
-the acceptance rule (a *gain* wins at least nine pairs in ten, over ten
-pairs or more, and moves the median by more than the base's IQR;
-*WORSE* is an end-to-end metric whose median is worse than its
-``BENCHMARK.json`` bound).
+the acceptance rule (see :func:`verdict`).
 
 Run from anywhere inside a checkout::
 
@@ -29,7 +26,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import shutil
 import statistics
@@ -107,8 +103,47 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def wins(base: list[float], change: list[float], better: str) -> int:
+    """Pairs the change wins; ties count for neither side."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (b - c) > 0 for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str,
+            bound: float | None, counter: bool = False) -> str:
+    """The acceptance rule for one metric over paired runs.
+
+    ``gain``: the change wins at least :data:`WIN_SHARE` of
+    :data:`MIN_GAIN_PAIRS` or more pairs and its median beats the
+    base's by more than the base's IQR.  ``WORSE``: the median is worse
+    than the base's by more than the bound.  ``unresolved``: the base's
+    IQR is wider than the bound, so staying inside the bound shows
+    nothing, unless every change run beats every base run.  Work
+    counters must repeat exactly.
+    """
+    if counter:
+        return "COUNTER DIFFERS" if base != change else ""
+    lower = better == "lower"
+    q1, q3 = quartiles(base)
+    base_med = statistics.median(base)
+    gain = (base_med - statistics.median(change)) * (1 if lower else -1)
+    if bound is not None and base_med and -gain / abs(base_med) > bound:
+        return f"WORSE (bound {bound:.0%})"
+    if (len(base) >= MIN_GAIN_PAIRS
+            and wins(base, change, better) >= WIN_SHARE * len(base)
+            and gain > q3 - q1):
+        return "gain"
+    all_better = (max(change) < min(base) if lower
+                  else min(change) > max(base))
+    if (bound is not None and base_med and not all_better
+            and (q3 - q1) / abs(base_med) > bound):
+        return "unresolved"
+    return ""
+
+
 def summarize(pairs: list[tuple[dict, dict]], specs: dict) -> dict:
-    """Per-metric verdicts over ``(base, change)`` result-line pairs."""
+    """Per-metric medians, quartiles and verdicts over ``(base,
+    change)`` result-line pairs."""
     rows = []
     # BENCHMARK.json's order first, then any metric it does not list.
     names = sorted(
@@ -120,35 +155,20 @@ def summarize(pairs: list[tuple[dict, dict]], specs: dict) -> dict:
     for name in names:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
+        if not any(base + change):
+            continue  # a layer this workload never calls
         spec = specs.get(name, {"better": "lower", "bound": None})
-        lower = spec["better"] == "lower"
-        won = sum((c < b) if lower else (c > b)
-                  for b, c in zip(base, change))
-        q1, q3 = quartiles(base)
-        base_med, change_med = statistics.median(base), statistics.median(
-            change)
-        gain = base_med - change_med if lower else change_med - base_med
-        row = {
+        rows.append({
             "metric": name,
             "unit": pairs[0][0]["metrics"][name]["unit"],
-            "base": base_med,
-            "change": change_med,
-            "delta_pct": (100.0 * (change_med - base_med) / base_med
-                          if base_med else math.nan),
-            "base_iqr": q3 - q1,
-            "won": won,
-            "verdict": "",
-        }
-        if (len(pairs) >= MIN_GAIN_PAIRS
-                and won >= math.ceil(WIN_SHARE * len(pairs))
-                and gain > q3 - q1):
-            row["verdict"] = "gain"
-        bound = spec["bound"]
-        if bound is not None and base_med and -gain / base_med > bound:
-            row["verdict"] = f"WORSE (bound {bound:.0%})"
-        if name in WORK_COUNTERS and base != change:
-            row["verdict"] = "COUNTER DIFFERS"
-        rows.append(row)
+            "base": statistics.median(base),
+            "base_q": quartiles(base),
+            "change": statistics.median(change),
+            "change_q": quartiles(change),
+            "won": wins(base, change, spec["better"]),
+            "verdict": verdict(base, change, spec["better"], spec["bound"],
+                               counter=name in WORK_COUNTERS),
+        })
     return {
         "pairs": len(pairs),
         "rows": rows,
@@ -161,15 +181,9 @@ def summarize(pairs: list[tuple[dict, dict]], specs: dict) -> dict:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "n/a"
     if value == 0 or abs(value) >= 100:
         return f"{value:.0f}"
     return f"{value:.3g}"
-
-
-def _share(part: float, whole: float) -> str:
-    return f" ({100.0 * part / whole:.0f}%)" if whole else ""
 
 
 def format_table(workload: str, summary: dict) -> str:
@@ -180,18 +194,24 @@ def format_table(workload: str, summary: dict) -> str:
         f"base {summary['incorrect'][0]}, change "
         f"{summary['incorrect'][1]})",
         "",
-        "| metric | unit | base median | change median | change | "
-        "base IQR (of median) | pairs won | verdict |",
+        "| metric | unit | base median [q1, q3] | change median [q1, q3] "
+        "| change | base IQR | pairs won | verdict |",
         "|---|---|---:|---:|---:|---:|---:|---|",
     ]
     for row in summary["rows"]:
-        delta = row["delta_pct"]
-        delta = "n/a" if math.isnan(delta) else f"{delta:+.1f}%"
-        iqr = _fmt(row["base_iqr"]) + _share(row["base_iqr"], row["base"])
+        base, (bq1, bq3) = row["base"], row["base_q"]
+        cq1, cq3 = row["change_q"]
+        delta = (f"{100.0 * (row['change'] - base) / abs(base):+.1f}%"
+                 if base else "n/a")
+        iqr = _fmt(bq3 - bq1)
+        if base:
+            iqr += f" ({100.0 * (bq3 - bq1) / abs(base):.0f}%)"
         out.append(
-            f"| {row['metric']} | {row['unit']} | {_fmt(row['base'])} | "
-            f"{_fmt(row['change'])} | {delta} | {iqr} | "
-            f"{row['won']}/{summary['pairs']} | {row['verdict']} |"
+            f"| {row['metric']} | {row['unit']} "
+            f"| {_fmt(base)} [{_fmt(bq1)}, {_fmt(bq3)}] "
+            f"| {_fmt(row['change'])} [{_fmt(cq1)}, {_fmt(cq3)}] "
+            f"| {delta} | {iqr} | {row['won']}/{summary['pairs']} "
+            f"| {row['verdict']} |"
         )
     return "\n".join(out)
 

@@ -160,9 +160,9 @@ class ScenarioSpec:
         """The content hash of :attr:`scenario_id`, recomputed from the
         fields without reading or filling the cache.
 
-        Hashes the same canonical JSON as ``_canonical_json(to_dict())``
-        would, built flat from the fields and encoded by one shared
-        encoder, so every id is byte-identical to the historical one.
+        The hashed text is the canonical JSON of :meth:`to_dict` (sorted
+        keys, tight separators, integer-valued floats as ints), built
+        flat from the fields and encoded by one shared encoder.
         """
         canon = _canonical_json
         payload = {

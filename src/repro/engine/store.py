@@ -245,8 +245,15 @@ class ResultStore:
     def iter_results(self) -> Iterator[ScenarioResult]:
         """All journaled results in append order (corrupt lines, and
         records whose stored ``id`` is not their spec's, skipped)."""
+        for _, result in self._keyed_results():
+            yield result
+
+    def _keyed_results(self) -> Iterator[tuple[str, ScenarioResult]]:
+        """:meth:`iter_results` as ``(scenario_id, result)`` pairs; the
+        id is read once, where the line's stored id is checked."""
         if self.path is None:
-            yield from self._memory
+            for result in self._memory:
+                yield result.scenario_id, result
             return
         if not self.path.exists():
             return
@@ -282,7 +289,7 @@ class ResultStore:
                         lineno, self.path, len(raw),
                     )
                     continue
-                yield result
+                yield sid, result
 
     def append_times(self) -> list[tuple[str, float]]:
         """(scenario_id, unix_time) per journaled append, in append order.
@@ -309,10 +316,7 @@ class ResultStore:
     def load(self) -> dict[str, ScenarioResult]:
         """Latest result per scenario id (last journal entry wins, so a
         retried timeout overwrites the timeout record)."""
-        latest: dict[str, ScenarioResult] = {}
-        for result in self.iter_results():
-            latest[result.scenario_id] = result
-        return latest
+        return dict(self._keyed_results())
 
     def completed_ids(self) -> set[str]:
         """Ids with a terminal record — ``ok`` and ``error`` count

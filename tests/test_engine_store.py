@@ -196,6 +196,7 @@ class TestJournalIds:
         with caplog.at_level(logging.WARNING, logger="repro.engine.store"):
             loaded = ResultStore(path).load()
         assert loaded == {kept.scenario_id: kept}
+        assert list(ResultStore(path).iter_results()) == [kept]
         assert "skipping corrupt journal line 2" in caplog.text
 
     def test_resume_reruns_exactly_the_mismatched_scenario(self, tmp_path):

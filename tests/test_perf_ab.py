@@ -66,9 +66,9 @@ def test_too_few_pairs_show_no_gain():
     assert row["won"] == 9 and row["verdict"] == ""
 
 
-def test_rows_follow_the_benchmark_order():
-    pairs = [(_line(zeta=1.0, scenarios_per_s=1.0, resume_s=1.0),
-              _line(zeta=1.0, scenarios_per_s=1.0, resume_s=1.0))]
+def test_rows_follow_the_benchmark_order_and_skip_idle_layers():
+    pairs = [(_line(zeta=1.0, scenarios_per_s=1.0, resume_s=1.0, idle=0),
+              _line(zeta=1.0, scenarios_per_s=1.0, resume_s=1.0, idle=0))]
     rows = perf_ab.summarize(pairs, SPECS)["rows"]
     assert [r["metric"] for r in rows] == [
         "resume_s", "scenarios_per_s", "zeta"]
@@ -106,5 +106,15 @@ def test_table_reports_failures_and_every_metric():
     table = perf_ab.format_table("small-n-sweep",
                                  perf_ab.summarize(pairs, SPECS))
     assert "change 1/100" in table
-    assert "| resume_s | x | 0.2 | 0.1 | -50.0% | 0 (0%) | 1/1 |" in table
-    assert "| scenarios_per_s | x | 2000 | 2100 | +5.0% |" in table
+    assert (
+        "| resume_s | x | 0.2 [0.2, 0.2] | 0.1 [0.1, 0.1] | -50.0% "
+        "| 0 (0%) | 1/1 |" in table
+    )
+    assert "| scenarios_per_s | x | 2000 [2000, 2000] | 2100 [" in table
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    base = [0.10, 0.20, 0.10, 0.20]
+    assert perf_ab.verdict(base, [0.15] * 4, "lower", 0.24) == "unresolved"
+    # ... unless every change run beats every base run.
+    assert perf_ab.verdict(base, [0.09] * 4, "lower", 0.24) == ""
