@@ -111,91 +111,76 @@ class TestScenarioSpec:
         assert all(isinstance(p, FloodMinProcess) for p in procs)
 
 
-#: Pinned content ids.  Every journal ever written is keyed by these
-#: hashes, so a change here makes resume re-run every stored scenario.
+_ADV = {"n": 6, "k": 2, "num_groups": 2, "seed": 3, "noise": 0.15}
+_ALG = {"n": 6, "k": 2, "seed": 3}
+
+#: Pinned content ids, as (spec fields, id).  Every journal ever written
+#: is keyed by these hashes, so a change here makes resume re-run every
+#: stored scenario.
 GOLDEN_IDS = {
-    "adversary-crash": "daa286108806",
-    "adversary-eventual": "e174804e4d4d",
-    "adversary-figure1": "9da372d0fb82",
-    "adversary-gnp": "64a14e2d6b18",
-    "adversary-grouped": "a438410626cb",
-    "adversary-partition": "f15e9d31281d",
-    "adversary-static": "9ec4ca8f7b54",
-    "algorithm-algorithm1": "08a90e3c9792",
-    "algorithm-async_kset": "0e88cea6946b",
-    "algorithm-flooding": "58f0afd534e5",
-    "algorithm-floodmin": "6c6fe7507b8d",
-    "algorithm-local_min": "4a023f87dc8f",
-    "noise-int-0": "54372f82c5b8",
-    "noise-float-0.0": "54372f82c5b8",
-    "noise-0.30000000000000004": "30065c2fddfc",
-    "noise-0.3": "3416405cec38",
-    "options-int": "e38ba885eb71",
-    "options-float-valued-int": "e38ba885eb71",
-    "option-bool": "2f19a1ccb82b",
-    "option-str": "f42c594a7b5c",
-    "option-tuple": "77cc85df963a",
-    "option-nested-tuple": "632adc05ee49",
-    "n-float-valued-int": "54372f82c5b8",
-    "max_rounds-None": "54372f82c5b8",
-    "max_rounds-int": "4b7804836882",
-    "max_rounds-float-valued-int": "4b7804836882",
+    "adversary-crash": ({**_ADV, "adversary": "crash"}, "daa286108806"),
+    "adversary-eventual": (
+        {**_ADV, "adversary": "eventual"}, "e174804e4d4d"),
+    "adversary-figure1": ({**_ADV, "adversary": "figure1"}, "9da372d0fb82"),
+    "adversary-gnp": ({**_ADV, "adversary": "gnp"}, "64a14e2d6b18"),
+    "adversary-grouped": ({**_ADV, "adversary": "grouped"}, "a438410626cb"),
+    "adversary-partition": (
+        {**_ADV, "adversary": "partition"}, "f15e9d31281d"),
+    "adversary-static": ({**_ADV, "adversary": "static"}, "9ec4ca8f7b54"),
+    "algorithm-algorithm1": (
+        {**_ALG, "algorithm": "algorithm1"}, "08a90e3c9792"),
+    "algorithm-async_kset": (
+        {**_ALG, "algorithm": "async_kset"}, "0e88cea6946b"),
+    "algorithm-flooding": (
+        {**_ALG, "algorithm": "flooding"}, "58f0afd534e5"),
+    "algorithm-floodmin": (
+        {**_ALG, "algorithm": "floodmin"}, "6c6fe7507b8d"),
+    "algorithm-local_min": (
+        {**_ALG, "algorithm": "local_min"}, "4a023f87dc8f"),
+    "noise-int-0": ({"n": 5, "noise": 0}, "54372f82c5b8"),
+    "noise-float-0.0": ({"n": 5, "noise": 0.0}, "54372f82c5b8"),
+    "noise-0.30000000000000004": (
+        {"n": 5, "noise": 0.30000000000000004}, "30065c2fddfc"),
+    "noise-0.3": ({"n": 5, "noise": 0.3}, "3416405cec38"),
+    "options-int": (
+        {"n": 5, "options": (("f", 2), ("horizon", 3))}, "e38ba885eb71"),
+    "options-float-valued-int": (
+        {"n": 5, "options": (("f", 2.0), ("horizon", 3.0))},
+        "e38ba885eb71"),
+    "option-bool": (
+        {"n": 5, "options": (("prune_unreachable", False),)},
+        "2f19a1ccb82b"),
+    "option-str": ({"n": 5, "options": (("label", "x"),)}, "f42c594a7b5c"),
+    "option-tuple": (
+        {"n": 5, "options": (("rounds", (1, 2.0, 3.5)),)}, "77cc85df963a"),
+    "option-nested-tuple": (
+        {"n": 5, "options": (("pairs", ((1, 2.0), (3,))),)},
+        "632adc05ee49"),
+    "n-float-valued-int": ({"n": 5.0}, "54372f82c5b8"),
+    "max_rounds-None": ({"n": 5, "max_rounds": None}, "54372f82c5b8"),
+    "max_rounds-int": ({"n": 5, "max_rounds": 40}, "4b7804836882"),
+    "max_rounds-float-valued-int": (
+        {"n": 5, "max_rounds": 40.0}, "4b7804836882"),
 }
-
-_BUILTIN_ADVERSARIES = (
-    "crash", "eventual", "figure1", "gnp", "grouped", "partition", "static",
-)
-_BUILTIN_ALGORITHMS = (
-    "algorithm1", "async_kset", "flooding", "floodmin", "local_min",
-)
-
-
-def _golden_spec(name: str) -> ScenarioSpec:
-    kind, _, value = name.partition("-")
-    if kind == "adversary":
-        return ScenarioSpec(n=6, k=2, num_groups=2, seed=3, noise=0.15,
-                            adversary=value)
-    if kind == "algorithm":
-        return ScenarioSpec(n=6, k=2, seed=3, algorithm=value)
-    return {
-        "noise-int-0": lambda: ScenarioSpec(n=5, noise=0),
-        "noise-float-0.0": lambda: ScenarioSpec(n=5, noise=0.0),
-        "noise-0.30000000000000004": lambda: ScenarioSpec(
-            n=5, noise=0.30000000000000004),
-        "noise-0.3": lambda: ScenarioSpec(n=5, noise=0.3),
-        "options-int": lambda: ScenarioSpec(
-            n=5, options=(("f", 2), ("horizon", 3))),
-        "options-float-valued-int": lambda: ScenarioSpec(
-            n=5, options=(("f", 2.0), ("horizon", 3.0))),
-        "option-bool": lambda: ScenarioSpec(
-            n=5, options=(("prune_unreachable", False),)),
-        "option-str": lambda: ScenarioSpec(n=5, options=(("label", "x"),)),
-        "option-tuple": lambda: ScenarioSpec(
-            n=5, options=(("rounds", (1, 2.0, 3.5)),)),
-        "option-nested-tuple": lambda: ScenarioSpec(
-            n=5, options=(("pairs", ((1, 2.0), (3,))),)),
-        "n-float-valued-int": lambda: ScenarioSpec(n=5.0),
-        "max_rounds-None": lambda: ScenarioSpec(n=5, max_rounds=None),
-        "max_rounds-int": lambda: ScenarioSpec(n=5, max_rounds=40),
-        "max_rounds-float-valued-int": lambda: ScenarioSpec(
-            n=5, max_rounds=40.0),
-    }[name]()
 
 
 class TestGoldenIds:
     @pytest.mark.parametrize("name", sorted(GOLDEN_IDS))
     def test_id_is_pinned(self, name):
-        spec = _golden_spec(name)
-        assert spec.scenario_id == GOLDEN_IDS[name]
-        assert spec.derive_id() == GOLDEN_IDS[name]
+        fields, expected = GOLDEN_IDS[name]
+        spec = ScenarioSpec(**fields)
+        assert spec.scenario_id == expected
+        assert spec.derive_id() == expected
 
-    def test_every_builtin_name_is_pinned(self):
-        names = {name.partition("-")[2] for name in GOLDEN_IDS}
-        assert set(_BUILTIN_ADVERSARIES) <= names
-        assert set(_BUILTIN_ALGORITHMS) <= names
+    def test_every_registered_name_is_pinned(self):
         scenarios._load_family_registrations()
-        assert set(_BUILTIN_ADVERSARIES) <= set(scenarios.ADVERSARIES)
-        assert set(_BUILTIN_ALGORITHMS) <= set(scenarios.ALGORITHMS)
+        pinned = {fields.get(kind) for fields, _ in GOLDEN_IDS.values()
+                  for kind in ("adversary", "algorithm")}
+        for registry in (scenarios.ADVERSARIES, scenarios.ALGORITHMS):
+            # Names the package registers (tests register throwaway ones).
+            package = {name for name, build in registry.items()
+                       if build.__module__.startswith("repro.")}
+            assert package and package <= pinned
 
 
 class TestIdCache:
