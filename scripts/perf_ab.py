@@ -232,12 +232,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     root = repo_root()
-    scratch = tempfile.mkdtemp(prefix="perf-ab-")
+    workdir = tempfile.mkdtemp(prefix="perf-ab-")
     try:
-        base = extract(root, args.base, os.path.join(scratch, "base"))
+        base = extract(root, args.base, os.path.join(workdir, "base"))
         change = (root if args.change is None
                   else extract(root, args.change,
-                               os.path.join(scratch, "change")))
+                               os.path.join(workdir, "change")))
         specs = load_metric_specs(change)
         failing = False
         for workload in args.workload:
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
             failing |= summary["incorrect"][1] > 0
         return 1 if failing else 0
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
