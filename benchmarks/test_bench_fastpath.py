@@ -41,6 +41,11 @@ MIN_COMPACTION_GAIN = 1.3
 # The planner's cross-n packing over running each n as its own work
 # list, on sparse mixed-width ensembles; measured ~1.35-2.0x.
 MIN_PACKING_GAIN = 1.3
+# Interleaved rounds timing per-n and packed runs of one group (no A/A
+# pair, so exactly this many).  Two separate best-of-5 loops let host
+# drift between the loops into the ratio: one group read 1.09 once and
+# a whole run 1.23, where interleaved best-of-15 read 1.41-1.60.
+PACKING_ROUNDS = 15
 # The schema-3 BENCH_FASTPATH.json floor for median_speedup_batched: the
 # regression guard below fails a run that lands under FLOOR * SLACK.
 # The slack absorbs shared-box noise (per-group timings on a loaded CI
@@ -566,7 +571,8 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
 
     Each group is timed through the identical executor twice — one work
     list per ``n`` vs the whole group as one work list, which the
-    planner packs — with journal bytes asserted identical first.
+    planner packs — with journal bytes asserted identical first.  The
+    two are timed in interleaved rounds, so host drift hits both alike.
     """
     groups = _mixed_width_specs()
 
@@ -589,10 +595,13 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             vect_s = _best_of(
                 lambda: execute_scenarios(specs, backend="vectorized")
             )
-            per_n_s = _best_of(lambda: _run_per_n(specs), repeats=5)
-            packed_s = _best_of(
-                lambda: execute_scenarios(specs, backend="batched"),
-                repeats=5,
+            (per_n_s, packed_s), _ = interleaved_best(
+                [
+                    lambda: _run_per_n(specs),
+                    lambda: execute_scenarios(specs, backend="batched"),
+                ],
+                pairs=[],
+                min_repeats=PACKING_ROUNDS,
             )
             rows.append(
                 [

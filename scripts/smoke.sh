@@ -5,9 +5,10 @@
 # just in CI benchmarks.  A final pass runs the same tiny grid on all
 # three execution backends (reference simulator, per-scenario vectorized
 # fast path, mega-batched fast path) and byte-compares the canonical
-# summaries; a large-n leg (n = 20/24, where the batched kernel's NumPy
-# merge gathers only the PT senders) byte-compares the batched and
-# vectorized summaries; the batched backend's journal bytes are
+# summaries; a large-n leg (n = 16/20/24, where the batched kernel's
+# NumPy merge gathers only the PT senders and its closure squares each
+# distinct graph once) byte-compares the batched and vectorized
+# summaries; the batched backend's journal bytes are
 # additionally checked to be independent of the jobs count / batch
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
@@ -73,18 +74,20 @@ cmp "$summary_ref" "$summary_bat"
 echo "reference, vectorized and batched summaries byte-identical: OK"
 
 echo
-echo "== large-n leg: sparse PT merge (batched) vs dense merge (vectorized) =="
-# From n = 16 the batched kernel merges only each owner's PT senders; the
-# single-lane vectorized kernel keeps the dense merge, so equal summaries
-# byte-compare the two merges end to end (6 scenarios, n = 20 and 24).
-large_grid=(-n 20 24 -k 3 --seeds 1 --noise 0.3 --no-progress)
+echo "== large-n leg: gather merge + distinct-graph closure (batched) vs dense merge + plain closure (vectorized) =="
+# From n = 16 the batched kernel merges only each owner's PT senders and
+# closes each distinct approximation graph once; the single-lane
+# vectorized kernel keeps the dense merge and the plain closure, so
+# equal summaries byte-compare both pairs end to end (9 scenarios,
+# n = 16, 20 and 24; n = 16 is the narrowest width that takes them).
+large_grid=(-n 16 20 24 -k 3 --seeds 1 --noise 0.3 --no-progress)
 python -m repro campaign run --store "$workdir/journal_large_vec.jsonl" \
     --backend vectorized --summary "$workdir/summary_large_vec.jsonl" \
     "${large_grid[@]}" > /dev/null
 python -m repro campaign run --store "$workdir/journal_large_bat.jsonl" \
     --backend batched --summary "$workdir/summary_large_bat.jsonl" \
     "${large_grid[@]}" > /dev/null
-test "$(wc -l < "$workdir/summary_large_bat.jsonl")" -eq 6
+test "$(wc -l < "$workdir/summary_large_bat.jsonl")" -eq 9
 cmp "$workdir/summary_large_vec.jsonl" "$workdir/summary_large_bat.jsonl"
 echo "large-n vectorized and batched summaries byte-identical: OK"
 

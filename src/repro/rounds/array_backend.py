@@ -13,7 +13,11 @@ its time in two places:
   two are bit-identical: an int32 max is exact and order-independent.
 * the transitive closure that tests the approximated stable skeleton
   (:meth:`KernelNamespace.batched_closure`), fixed-iteration BLAS
-  squaring over all ``S·n`` approximation graphs at once.
+  squaring over the ``S·n`` approximation graphs at once.  From
+  ``n = 16`` up it squares each distinct graph once and scatters the
+  results back: the approximations converge toward the stable skeleton,
+  so most owners share their graph with another.  Below ``n = 16`` it
+  squares the whole stack, which measures as fast or faster there.
 
 The kernel calls both through the module-level :data:`KERNEL`
 instance, so each is one named method that a profiler can wrap.
@@ -25,16 +29,25 @@ import numpy as np
 
 from repro.graphs import matrices
 
-# NumPy sender-max merge: the PT-sender gather from this width up, the
-# fused dense reduce below it.  Measured per call on a 2-vCPU Xeon with
-# NumPy 2.4, the gather's merge time over real HETERO-LAT batches is
-# 0.6x the dense one at n = 16/20 and 0.2x at n = 24..48, and it wins at
-# every PT density from n = 24; at n = 16..20 it loses only on 1-2 lane
-# batches whose PT rows are still half full or more (a lane's first
-# rounds), so a rule on max |PT_p| as well would save < 3% there.  Below
-# n = 16 the gather's per-call and per-row overhead makes it ~1.5x the
-# dense time on the n = 6..12 batches of 1-7 lanes a served campaign
-# runs and on n = 4..8 batches of 64.
+# The wide regime, from this width up: the merge gathers PT senders, the
+# closure squares each distinct graph once, and the planner never pads
+# a lane (engine/scheduler.py).  Measured per call on a 2-vCPU Xeon with
+# NumPy 2.4:
+# * merge: the gather's time over real HETERO-LAT batches is 0.6x the
+#   fused dense reduce's at n = 16/20 and 0.2x at n = 24..48, and it
+#   wins at every PT density from n = 24; at n = 16..20 it loses only on
+#   1-2 lane batches whose PT rows are still half full or more (a lane's
+#   first rounds), so a rule on max |PT_p| as well would save < 3%
+#   there.  Below n = 16 the gather's per-call and per-row overhead
+#   makes it ~1.5x the dense time on the n = 6..12 batches of 1-7 lanes
+#   a served campaign runs and on n = 4..8 batches of 64.
+# * closure: on closure inputs captured from the benchmark's workload
+#   grids, squaring only the distinct graphs runs 0.44-0.97x as fast as
+#   the plain call at n = 4..11 and 1.0x at n = 12 (30-33% of the graphs
+#   distinct), then 1.16x as fast at n = 16 and 2.1-3.8x at n = 20..48
+#   (10-15% distinct).  In its worst case, a stack of all-distinct
+#   graphs, it pays only the key and sort: 1.05-1.2x the plain call's
+#   time from n = 20, up to 1.9x on the smallest n = 16 stacks.
 _GATHER_MIN_N = 16
 # Cap on one gather block of owners x max|PT_p| label rows (fastest of
 # 128 KiB..2 MiB on the same batches); a block is also never more than
@@ -85,6 +98,14 @@ def _gather_sender_max(labels, pt, out):
     return out
 
 
+def _square(stack):
+    """Reflexive closure of every graph of ``stack`` by fixed-iteration
+    squaring."""
+    return matrices.batched_transitive_closure(
+        stack, reflexive=True, fixed_iterations=True
+    )
+
+
 class KernelNamespace:
     """The batched kernel's merge and closure operations."""
 
@@ -115,10 +136,30 @@ class KernelNamespace:
 
     def batched_closure(self, stack):
         """Reflexive transitive closure of a ``(b, n, n)`` bool stack,
-        fixed-iteration squaring (the decide/prune kernel)."""
-        return matrices.batched_transitive_closure(
-            stack, reflexive=True, fixed_iterations=True
-        )
+        fixed-iteration squaring (the decide/prune kernel).
+
+        From ``n = 16`` up it closes each distinct graph once: graphs
+        are keyed by their packed bits, the squaring runs on the
+        distinct ones only, and the results are scattered back through
+        the inverse index.  The local approximations converge toward
+        the stable skeleton, so many owners hold the same graph (10-12%
+        of the graphs are distinct on the n = 24..48 HETERO-LAT
+        batches).  A stack without a repeated graph is squared whole,
+        so no copy is made.  Below ``n = 16`` the key costs more than
+        the squaring it saves.  A closure depends only on its graph, so
+        the result is bit-identical to squaring the whole stack.
+        """
+        arr = np.asarray(stack, dtype=bool)
+        b, n = arr.shape[0], arr.shape[-1]
+        if n >= _GATHER_MIN_N:
+            packed = np.packbits(arr.reshape(b, n * n), axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            if len(first) < b:
+                return _square(arr[first])[inverse]
+        return _square(arr)
 
 
 #: The instance the batched kernel calls.

@@ -37,6 +37,26 @@ def figure1_stable() -> DiGraph:
     return g.with_self_loops()
 
 
+@pytest.fixture
+def closure_inputs(monkeypatch) -> list:
+    """Every stack :func:`repro.graphs.matrices.batched_transitive_closure`
+    receives through its module attribute, in call order.  The batched
+    kernel's :meth:`~repro.rounds.array_backend.KernelNamespace.batched_closure`
+    calls it that way; the single-lane kernel imports the name, so its
+    closures are not recorded."""
+    from repro.graphs import matrices
+
+    real = matrices.batched_transitive_closure
+    stacks: list = []
+
+    def spy(stack, *args, **kwargs):
+        stacks.append(np.array(stack, copy=True))
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(matrices, "batched_transitive_closure", spy)
+    return stacks
+
+
 def random_digraph(
     rng: np.random.Generator, n: int, p: float, self_loops: bool = False
 ) -> DiGraph:

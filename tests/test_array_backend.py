@@ -3,7 +3,9 @@
 The batched kernel's merge and closure are checked against the
 straightforward formulations: the sender-max merge against an explicit
 per-owner loop and against the fused dense reduce, the closure against
-:func:`repro.graphs.matrices.batched_transitive_closure`.  The last
+:func:`repro.graphs.matrices.batched_transitive_closure` on the whole
+stack (from ``n = 16`` the kernel squares only the distinct graphs,
+which a spy on that function shows).  The last
 class pins the hook a profiler relies on: both operations are looked up
 on :class:`KernelNamespace` at call time, so a wrapper set on the class
 sees every call the batched kernel makes.
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.engine.scenarios import ScenarioSpec
+from repro.graphs import matrices
 from repro.rounds import array_backend
 from repro.rounds.array_backend import (
     _GATHER_MIN_N,
@@ -23,6 +26,29 @@ from repro.rounds.array_backend import (
     _gather_sender_max,
 )
 from repro.rounds.fastpath import FastPathTask, simulate_fastpath_batch
+
+
+# _GATHER_MIN_N - 1 and _GATHER_MIN_N straddle the switch from the
+# plain closure to closing each distinct graph once.
+_CLOSURE_NS = [_GATHER_MIN_N - 1, _GATHER_MIN_N, 17, 32, 48]
+#: Which of four base graphs each closure-test stack holds, per stack
+#: kind; "scattered" repeats graphs, never next to each other.
+_CLOSURE_PICKS = {
+    "single": [0],
+    "identical": [2] * 6,
+    "distinct": [0, 1, 2, 3],
+    "scattered": [0, 1, 2, 0, 3, 1, 0, 2],
+}
+
+
+def _closure_stack(n, kind):
+    """A ``(b, n, n)`` bool stack of sparse random graphs (about two
+    edges per node, so closures differ from their inputs) arranged as
+    :data:`_CLOSURE_PICKS` names."""
+    rng = np.random.default_rng(n)
+    base = rng.random((4, n, n)) < 2.0 / n
+    assert len({graph.tobytes() for graph in base}) == 4
+    return base[_CLOSURE_PICKS[kind]]
 
 
 class TestKernelOps:
@@ -48,15 +74,32 @@ class TestKernelOps:
         out = KERNEL.masked_sender_max(labels, pt, np.zeros_like(expected))
         assert np.array_equal(out, expected)
 
-    def test_batched_closure(self):
-        from repro.graphs.matrices import batched_transitive_closure
-
-        rng = np.random.default_rng(13)
-        stack = rng.random((5, 7, 7)) < 0.25
-        expected = batched_transitive_closure(
+    @pytest.mark.parametrize("n", _CLOSURE_NS)
+    @pytest.mark.parametrize("kind", sorted(_CLOSURE_PICKS))
+    def test_batched_closure(self, n, kind):
+        stack = _closure_stack(n, kind)
+        expected = matrices.batched_transitive_closure(
             stack, reflexive=True, fixed_iterations=True
         )
-        assert np.array_equal(KERNEL.batched_closure(stack), expected)
+        got = KERNEL.batched_closure(stack)
+        assert got.dtype == np.bool_ and got.shape == stack.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", _CLOSURE_NS)
+    @pytest.mark.parametrize("kind", sorted(_CLOSURE_PICKS))
+    def test_closure_squares_each_distinct_graph_once(
+        self, closure_inputs, n, kind
+    ):
+        stack = _closure_stack(n, kind)
+        KERNEL.batched_closure(stack)
+        [closed] = closure_inputs
+        if n < _GATHER_MIN_N:
+            assert np.array_equal(closed, stack)
+        else:
+            distinct = {graph.tobytes() for graph in stack}
+            assert len(closed) == len(distinct)
+            assert {graph.tobytes() for graph in closed} == distinct
 
 
 def _dense_sender_max(labels, pt):

@@ -26,10 +26,11 @@ ways:
   shuffle, a degenerate ``--batch-memory`` envelope and
   ``--jobs {1, 2, 4}``;
 * a **wide-lane grid** at ``n = 16/24/32``, where the NumPy merge
-  gathers only the ``PT_p`` senders: batched vs vectorized canonical
-  lines (the single-lane kernel keeps the dense merge, an independent
-  reference) and journal bytes under compaction on/off and a packed
-  24 -> 32 batch.
+  gathers only the ``PT_p`` senders and the closure squares each
+  distinct approximation graph once: batched vs vectorized canonical
+  lines (the single-lane kernel keeps the dense merge and the plain
+  closure, an independent reference) and journal bytes under
+  compaction on/off and a packed 24 -> 32 batch.
 
 ``scripts/smoke.sh`` additionally byte-compares whole campaign summaries
 produced by the three backends through the CLI on every change.
@@ -549,34 +550,23 @@ class TestCompactionEquivalence:
             assert [_run_key(r) for r in got] == expected, kwargs
 
     @pytest.mark.parametrize("compact", [True, False])
-    def test_width_caps_concurrent_lanes(self, compact, monkeypatch):
+    def test_width_caps_concurrent_lanes(self, compact, closure_inputs):
         # The memory envelope is a hard cap in both modes: refill
         # (compact on) and generation drain (compact off) must never
-        # run the kernel wider than ``width`` lanes.
-        import repro.rounds.fastpath as fastpath
-
+        # run the kernel wider than ``width`` lanes.  Below n = 16 the
+        # kernel closes its whole (lanes·n, n, n) stack each round.
         specs = [s for s in HETERO_GRID if s.n == 9]
         n = 9
-        peak = 0
-        real = fastpath.batched_transitive_closure
-
-        def spy(stack, **kwargs):
-            nonlocal peak
-            peak = max(peak, stack.shape[0] // n)
-            return real(stack, **kwargs)
-
-        monkeypatch.setattr(fastpath, "batched_transitive_closure", spy)
         singles = [
             simulate_fastpath(
                 t.adjacency, list(t.initial_values), max_rounds=t.max_rounds
             )
             for t in _tasks(specs)
         ]
-        peak = 0
         runs = simulate_fastpath_batch(
             _tasks(specs), width=3, compact=compact
         )
-        assert peak <= 3
+        assert max(len(stack) // n for stack in closure_inputs) == 3
         assert [_run_key(r) for r in runs] == [_run_key(r) for r in singles]
 
     @pytest.mark.parametrize(
@@ -902,11 +892,13 @@ class TestCrossWidthPacking:
 
 
 # ----------------------------------------------------------------------
-# Wide lanes: from n = 16 the NumPy merge gathers PT senders
+# Wide lanes: from n = 16 the NumPy merge gathers PT senders and the
+# closure squares each distinct graph once
 # ----------------------------------------------------------------------
 def _wide_grid() -> list[ScenarioSpec]:
     """HETERO-style lanes at n = 16, 24 and 32, the widths at which the
-    batched kernel's NumPy merge gathers only the ``PT_p`` senders: per
+    batched kernel's NumPy merge gathers only the ``PT_p`` senders and
+    its closure squares each distinct graph once: per
     width a noise sweep, a shrunk purge window and a no-prune lane that
     runs to its full round budget.  n = 24 and 32 share one round
     bucket, but in the gather regime the planner keeps each on its own
@@ -953,11 +945,31 @@ def _option_tasks(specs):
 
 
 class TestWideLaneEquivalence:
-    """The gather merge is byte-identical to the dense merge of the
-    single-lane kernel, under compaction, width caps and packing."""
+    """The gather merge and the deduplicated closure are byte-identical
+    to the single-lane kernel's dense merge and plain closure, under
+    compaction, width caps and packing."""
 
-    def test_batched_matches_vectorized(self):
+    def test_batched_matches_vectorized(self, closure_inputs, monkeypatch):
+        from repro.rounds.array_backend import KernelNamespace
+
+        handed: dict[int, int] = {}
+        closure = KernelNamespace.batched_closure
+
+        def counted(kernel, stack):
+            n = stack.shape[-1]
+            handed[n] = handed.get(n, 0) + len(stack)
+            return closure(kernel, stack)
+
+        monkeypatch.setattr(KernelNamespace, "batched_closure", counted)
         batched = execute_scenarios(WIDE_GRID, backend=BACKEND_BATCHED)
+        # Every width closes each distinct graph once, so the bytes
+        # below pin the deduplicated closure against the plain one.
+        closed: dict[int, int] = {}
+        for stack in closure_inputs:
+            n = stack.shape[-1]
+            closed[n] = closed.get(n, 0) + len(stack)
+        assert sorted(handed) == [16, 24, 32]
+        assert all(closed[n] < handed[n] for n in handed), (closed, handed)
         for spec, result in zip(WIDE_GRID, batched):
             assert result.status == "ok", result.error
             assert canonical_line(result) == canonical_line(
