@@ -42,9 +42,10 @@ MIN_COMPACTION_GAIN = 1.3
 # list, on sparse mixed-width ensembles; measured ~1.35-2.0x.
 MIN_PACKING_GAIN = 1.3
 # Interleaved rounds timing per-n and packed runs of one group (no A/A
-# pair, so exactly this many).  Two separate best-of-5 loops let host
-# drift between the loops into the ratio: one group read 1.09 once and
-# a whole run 1.23, where interleaved best-of-15 read 1.41-1.60.
+# pair, so exactly this many).  With two separate best-of-5 loops, host
+# drift between the loops went into the ratio: one run read a median
+# gain of 1.295 where reruns read 1.45-1.75.  Interleaved best-of-15
+# read group gains of 1.44-1.77 in four runs.
 PACKING_ROUNDS = 15
 # The schema-3 BENCH_FASTPATH.json floor for median_speedup_batched: the
 # regression guard below fails a run that lands under FLOOR * SLACK.

@@ -770,7 +770,8 @@ def simulate_fastpath_batch(
         present = new_labels > purge_floor[:, None, None, None]
         new_labels *= present
 
-        # Lines 25 + 28 from one batched closure over all S·n graphs.
+        # Lines 25 + 28 from one batched closure over all S·n graphs;
+        # from n = 16 it squares each distinct graph once.
         closure = KERNEL.batched_closure(
             present.reshape(S * n, n, n)
         ).reshape(S, n, n, n)
