@@ -195,16 +195,31 @@ def test_bench_fastpath_termination(benchmark, emit, record_fastpath):
 
 def _hetero_latency_specs(n: int, seeds: int) -> list[ScenarioSpec]:
     """One heterogeneous-latency ensemble: lanes of one same-``n`` batch
-    retiring at wildly different rounds.  Two of six lanes carry the
+    retiring at wildly different rounds.  Three of six lanes carry the
     ablation knobs that stall Algorithm 1 — ``prune_unreachable=False``
     runs to the full ``6n + 20`` budget, a shrunk purge window retires
-    earliest — while the rest sweep noise and decide at ``~n + 4``.
-    Mask-only batching pays full kernel width until the last straggler
-    finishes; lane compaction pays per-round for the live lanes only.
+    earliest, a ``5n`` purge window decides late — while the rest sweep
+    noise and decide at ``~n + 4``.  Mask-only batching pays full kernel
+    width until the last straggler finishes; lane compaction pays
+    per-round for the live lanes only.
+
+    The no-prune stragglers stop changing a few rounds past ``n``, so
+    the kernel fast-forwards them to their budget in both modes.  The
+    ``5n`` window lanes are the tail compaction is measured on: a stale
+    label keeps its value until it is purged, so their labels do not
+    all rise by one each round, the kernel refuses to fast-forward them,
+    and they run round by round until they decide, near round ``5n``.
     """
     specs = []
     for s in range(seeds):
-        if s % 6 == 5:
+        if s % 6 == 3:
+            specs.append(
+                ScenarioSpec(
+                    n=n, k=2, num_groups=2, seed=s, noise=0.35,
+                    options=(("purge_window", 5 * n),),
+                )
+            )
+        elif s % 6 == 5:
             specs.append(
                 ScenarioSpec(
                     n=n, k=2, num_groups=2, seed=s, noise=0.35,
@@ -338,8 +353,9 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
         batched_s=total_batch,
         extra={
             "grid": f"heterogeneous-latency mix n=9,12,16, {SEEDS} seeds "
-            "(4/6 noise-sweep + 1/6 shrunk-window + 1/6 no-pruning "
-            "full-budget stragglers)",
+            "(3/6 noise-sweep + 1/6 shrunk-window + 1/6 5n-window late "
+            "deciders + 1/6 no-pruning full-budget stragglers, "
+            "fast-forwarded)",
             "batched_masked_s": round(total_masked, 4),
             "compaction_gain": round(total_masked / total_batch, 2),
             "compaction_baseline": "batched with compact=False "

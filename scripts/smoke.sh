@@ -13,6 +13,9 @@
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
 # reference run.
+# An ablation leg runs the family on --backend auto, byte-compares its
+# summary with the reference run and checks that the sidecar counts the
+# no-pruning stragglers the kernel fast-forwarded.
 # A mixed-n leg (--jobs 4, --metrics) byte-compares journal and summary
 # against the serial batched run and checks that the planner packed the
 # n = 4..7 grid.
@@ -166,6 +169,26 @@ run_family latency -n 5 6 --seeds 2 --noise 0.1
 run_family_vectorized latency -n 5 6 --seeds 2 --noise 0.1
 run_family_batched latency -n 5 6 --seeds 2 --noise 0.1
 echo "all families ran as campaigns (summaries backend-identical): OK"
+
+echo
+echo "== fast-forward: ablation family on auto vs reference =="
+# The ablation family's no-pruning arm holds never-deciding stragglers;
+# the batched kernel retires them at their budget once their state has
+# stopped changing.  The summary must byte-match the reference run, and
+# the sidecar must show that lanes were fast-forwarded.
+abl="$workdir/family_ablation"
+python -m repro campaign run --family ablation -n 5 -k 2 --seeds 2 \
+    --backend auto --metrics --no-progress \
+    --store "$abl/auto.jsonl" --summary "$abl/auto_summary.jsonl" > /dev/null
+cmp "$abl/ref_summary.jsonl" "$abl/auto_summary.jsonl"
+python - "$abl/auto.jsonl.metrics.json" <<'PY'
+import sys
+from repro.engine.telemetry import read_sidecar
+
+vol = read_sidecar(sys.argv[1])["volatile"]["counters"]
+assert vol.get("kernel.lanes_fast_forwarded", 0) > 0, vol
+print("auto summary matches reference, stragglers fast-forwarded: OK")
+PY
 
 echo
 echo "== batch scheduler: heterogeneous-latency leg (--jobs 2) vs serial reference =="

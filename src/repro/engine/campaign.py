@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.engine.contracts import checks_mark, record_checks
 from repro.engine.dispatch import absorb_shards
 from repro.engine.executor import (
     STATUS_ERROR,
@@ -319,6 +320,8 @@ class Campaign:
         first.
         """
         rec = NULL if recorder is None else recorder
+        # Contract checks this process runs (workers record their own).
+        mark = checks_mark() if rec else None
         resolved_workers = self.workers if workers is None else workers
         if resolved_workers is not None and not resolved_workers:
             resolved_workers = None
@@ -411,6 +414,7 @@ class Campaign:
                 results = execute_scenarios(
                     todo, jobs=resolved_jobs, pool=pool, **dispatch
                 )
+        record_checks(rec, mark)
         by_status = {STATUS_OK: 0, STATUS_ERROR: 0, STATUS_TIMEOUT: 0}
         for result in results:
             by_status[result.status] = by_status.get(result.status, 0) + 1

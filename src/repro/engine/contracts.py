@@ -134,6 +134,9 @@ class NullContracts:
                           context=None) -> None:
         pass
 
+    def check_fast_forward(self, rerun, run, context=None) -> None:
+        pass
+
 
 NO_CONTRACTS = NullContracts()
 
@@ -152,6 +155,8 @@ class Contracts:
         self.sample_every = max(1, int(sample_every))
         self.checks = 0
         self.violations = 0
+        #: Checks run so far, per contract name (``checks`` is the sum).
+        self.counts: dict[str, int] = {}
         self._counts: dict[str, int] = {}
 
     def __bool__(self) -> bool:
@@ -165,6 +170,10 @@ class Contracts:
         seen = self._counts.get(name, 0)
         self._counts[name] = seen + 1
         return seen % self.sample_every == 0
+
+    def _checked(self, contract: str) -> None:
+        self.checks += 1
+        self.counts[contract] = self.counts.get(contract, 0) + 1
 
     def _raise(self, contract: str, detail: str, repro: dict) -> None:
         self.violations += 1
@@ -187,7 +196,7 @@ class Contracts:
         invariant that makes lane compaction, batch splitting and resume
         sound: a lane re-run anywhere replays the same schedule.)
         """
-        self.checks += 1
+        self._checked("adversary.block_fetch_purity")
         again = np.asarray(provider(count, start), dtype=bool)
         expected = np.asarray(fetched, dtype=bool)
         if again.shape != expected.shape or not np.array_equal(
@@ -213,7 +222,7 @@ class Contracts:
     ) -> None:
         """Scheduler plan determinism: re-planning the identical work
         list under the identical envelope must reproduce the plan."""
-        self.checks += 1
+        self._checked("scheduler.plan_determinism")
         again = replan()
         if again != plan:
             self._raise(
@@ -239,7 +248,7 @@ class Contracts:
         (possibly compacted) kernel run must be bit-identical to the
         same task executed as a singleton.  ``expected``/``actual`` are
         field dicts; array values compare with ``np.array_equal``."""
-        self.checks += 1
+        self._checked("backends.lane_identity")
         for name in sorted(set(expected) | set(actual)):
             a, b = expected.get(name), actual.get(name)
             same = (
@@ -263,7 +272,7 @@ class Contracts:
     ) -> None:
         """Canonical-summary backend-freeness: the canonical record of a
         result must not depend on which backend produced it."""
-        self.checks += 1
+        self._checked("store.canonical_backend_free")
         if line_a != line_b:
             self._raise(
                 "store.canonical_backend_free",
@@ -281,7 +290,7 @@ class Contracts:
         the content hash re-derived from its fields without the cache
         (a stale cached id would journal a result under another
         scenario's resume key)."""
-        self.checks += 1
+        self._checked("scenarios.id")
         derived = spec.derive_id()
         if spec.scenario_id != derived:
             self._raise(
@@ -302,7 +311,7 @@ class Contracts:
         order-dependent merge would silently unpin them)."""
         if len(snapshots) < 2:
             return
-        self.checks += 1
+        self._checked("telemetry.merge_commutativity")
         from repro.engine.telemetry import Recorder
 
         forward, backward = Recorder(), Recorder()
@@ -332,7 +341,7 @@ class Contracts:
         count, completion order, or retry history.  ``expected_ids`` is
         the plan-order scenario-id sequence, ``delivered_ids`` the
         order results actually reached the journal callback."""
-        self.checks += 1
+        self._checked("remote.shard_merge_order")
         if list(expected_ids) != list(delivered_ids):
             first = next(
                 (
@@ -353,6 +362,31 @@ class Contracts:
                 {"position": first, **(context or {})},
             )
 
+    def check_fast_forward(
+        self,
+        rerun: Callable[[], Any],
+        run: Any,
+        context: dict | None = None,
+    ) -> None:
+        """Kernel fast-forward soundness: a lane the batched kernel
+        retired at its budget because its state had stopped changing
+        must equal the same lane re-run round by round (``rerun`` runs
+        it through :func:`~repro.rounds.fastpath.simulate_fastpath`):
+        equal round count, decisions and executed adjacency."""
+        self._checked("kernel.fast_forward")
+        again = rerun()
+        for name in (
+            "num_rounds", "decided", "decision_round", "decision_value",
+            "adjacency",
+        ):
+            if not np.array_equal(getattr(again, name), getattr(run, name)):
+                self._raise(
+                    "kernel.fast_forward",
+                    f"fast-forwarded lane field {name!r} differs from "
+                    f"the round-by-round run",
+                    context or {},
+                )
+
 
 # ----------------------------------------------------------------------
 # Process-wide activation
@@ -371,6 +405,28 @@ def get() -> Contracts | NullContracts:
     if _ACTIVE is None:
         _ACTIVE = Contracts() if enabled() else NO_CONTRACTS
     return _ACTIVE
+
+
+def checks_mark() -> dict[str, int] | None:
+    """A copy of this process's per-contract check counts (``None``
+    when contracts are off), to pass to :func:`record_checks` later."""
+    active = get()
+    return dict(active.counts) if active else None
+
+
+def record_checks(recorder, mark: dict[str, int] | None) -> None:
+    """Add the checks this process ran since ``mark`` to ``recorder``'s
+    volatile plane, one ``contracts.<name>`` counter per contract.
+
+    Each process records only its own checks (a pool or fleet worker
+    per unit, the parent once per run), so merging the workers'
+    snapshots counts every check once."""
+    if mark is None or not recorder:
+        return
+    for name, count in get().counts.items():
+        ran = count - mark.get(name, 0)
+        if ran > 0:
+            recorder.vinc(f"contracts.{name}", ran)
 
 
 def activate() -> Contracts:
@@ -440,7 +496,7 @@ def contract(
 
 
 def _evaluate(active, fn, phase, condition, args, kwargs) -> None:
-    active.checks += 1
+    active._checked(f"{fn.__qualname__}.{phase}")
     try:
         ok = condition(*args, **kwargs)
     except ContractViolation:

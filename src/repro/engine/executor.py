@@ -40,7 +40,11 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.stats import decision_stats
 from repro.engine import faults as _faults
-from repro.engine.contracts import ContractViolation
+from repro.engine.contracts import (
+    ContractViolation,
+    checks_mark,
+    record_checks,
+)
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.telemetry import Recorder
 from repro.graphs.condensation import root_components
@@ -250,13 +254,16 @@ def _execute_unit(unit, backend: str, compact: bool = True,
 
     Returns ``(pairs, meta)``: the ``(index, result)`` pairs and, with
     ``collect``, the worker's pid, busy seconds and the snapshot of its
-    own :class:`~repro.engine.telemetry.Recorder` for the parent to
-    merge (``None`` otherwise)."""
+    own :class:`~repro.engine.telemetry.Recorder`, with the contract
+    checks the unit ran, for the parent to merge (``None``
+    otherwise)."""
     recorder = Recorder() if collect else None
+    mark = checks_mark() if collect else None
     t0 = time.perf_counter()
     pairs = list(_iter_unit(unit, backend, compact, recorder))
     if recorder is None or _faults.drop_worker_meta(unit.items):
         return pairs, None
+    record_checks(recorder, mark)
     meta = {"pid": os.getpid(), "busy_s": time.perf_counter() - t0,
             "snapshot": recorder.snapshot()}
     return pairs, meta

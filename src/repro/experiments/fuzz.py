@@ -26,6 +26,19 @@ Grid determinism: case ``i`` of salt ``s`` is a pure function of
 ``(s, i)`` (a :func:`numpy.random.default_rng` seeded with the pair), so
 two machines fuzzing the same budget draw the same cases and the journal
 resume keys line up.
+
+The ``wide`` grid param (default 0) appends that many cases from a
+second draw stream with its own tag, at ``n`` in {16, 20, 24, 32}: the
+widths where the batched kernel gathers only the ``PT_p`` senders,
+closes each distinct approximation graph once and fast-forwards lanes
+whose state has stopped changing.  A third of them run without pruning
+(never-deciding stragglers the kernel fast-forwards) and a third with a
+purge window of several ``n`` (late deciders it must refuse).  The
+reference simulator is too slow at these widths, so from ``n = 16``
+the oracle is the single-lane kernel
+(:func:`~repro.rounds.fastpath.simulate_fastpath`), which runs every
+round and never fast-forwards.  Having a stream of its own keeps every
+existing case, and so its scenario id, unchanged.
 """
 
 from __future__ import annotations
@@ -49,10 +62,17 @@ from repro.engine.store import canonical_line
 #: RNG stream tag for the fuzz grid (keeps fuzz draws disjoint from every
 #: other seeded stream in the repo).
 _STREAM = 0xF022
+#: RNG stream tag of the wide cases (the ``wide`` grid param).
+_WIDE_STREAM = 0xF023
+#: The widths the wide stream draws from.
+_WIDE_NS = (16, 20, 24, 32)
+#: From this width the oracle is the single-lane kernel, not the
+#: reference simulator.
+_WIDE_MIN_N = 16
 
 #: Options the fuzz layer adds on top of the scenario under test; the
 #: differential runner strips them to recover the plain spec.
-_FUZZ_OPTIONS = ("family", "case", "siblings", "width", "compact")
+_FUZZ_OPTIONS = ("family", "case", "stream", "siblings", "width", "compact")
 
 #: Hard ceiling on shrink-step evaluations (each evaluation re-runs the
 #: case on two engines; shrinking must never dwarf the campaign itself).
@@ -103,10 +123,53 @@ def _draw_case(salt: int, case: int) -> ScenarioSpec:
     )
 
 
+def _draw_wide_case(salt: int, case: int) -> ScenarioSpec:
+    """Wide case ``case`` of salt ``salt`` — a pure function of the pair,
+    drawn from its own stream (see the module docstring)."""
+    rng = np.random.default_rng([_WIDE_STREAM, salt, case])
+    n = int(rng.choice(_WIDE_NS))
+    options: dict[str, Any] = {
+        "family": "fuzz",
+        "case": case,
+        "stream": "wide",
+        "siblings": int(rng.integers(0, 3)),
+        "width": (None, None, 2)[int(rng.integers(0, 3))],
+        "compact": bool(rng.integers(0, 2)),
+    }
+    if options["width"] is None:
+        del options["width"]
+    arm = int(rng.integers(0, 3))
+    if arm == 1:
+        options["prune_unreachable"] = False
+    elif arm == 2:
+        options["purge_window"] = int(rng.integers(2, 6)) * n
+    adversary = str(rng.choice(("grouped", "grouped", "crash", "static")))
+    num_groups, noise = 1, 0.0
+    if adversary == "grouped":
+        num_groups = int(rng.integers(1, 4))
+        noise = float(rng.choice((0.0, 0.15, 0.35)))
+    elif adversary == "static":
+        noise = float(rng.choice((0.1, 0.3)))
+    else:
+        options["f"] = int(rng.integers(1, 4))
+    return ScenarioSpec(
+        n=n,
+        k=int(rng.integers(1, 4)),
+        num_groups=num_groups,
+        seed=int(rng.integers(0, 2**16)),
+        noise=noise,
+        adversary=adversary,
+        options=tuple(sorted(options.items())),
+    )
+
+
 def _fuzz_grid(params: Mapping[str, Any]) -> list[ScenarioSpec]:
     budget = int(params.get("seeds", 20))
     salt = int(params.get("salt", 0))
-    return [_draw_case(salt, case) for case in range(budget)]
+    wide = int(params.get("wide", 0))
+    return [_draw_case(salt, case) for case in range(budget)] + [
+        _draw_wide_case(salt, case) for case in range(wide)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -138,13 +201,20 @@ def _run_engines(
     width: int | None,
     compact: bool,
 ) -> tuple[str, dict[str, str]]:
-    """Reference line + per-engine canonical lines for ``base``."""
-    want = _normalize(execute_scenario(base), base)
+    """Oracle line + per-engine canonical lines for ``base``.  The
+    oracle is the reference simulator, or from ``n = 16`` the
+    single-lane kernel (the ``vectorized`` backend)."""
     got: dict[str, str] = {}
-    try:
-        got["vectorized"] = _normalize(execute_scenario_vectorized(base), base)
-    except FastPathUnsupported:
-        pass
+    if base.n >= _WIDE_MIN_N:
+        want = _normalize(execute_scenario_vectorized(base), base)
+    else:
+        want = _normalize(execute_scenario(base), base)
+        try:
+            got["vectorized"] = _normalize(
+                execute_scenario_vectorized(base), base
+            )
+        except FastPathUnsupported:
+            pass
     group = [base, *siblings]
     label = f"batched[w={width},compact={compact},lanes={len(group)}]"
     batched = execute_scenario_batch(group, width=width, compact=compact)
@@ -324,7 +394,7 @@ register(
             r.extra("engines"),
         ],
         runner=run_fuzz_case,
-        defaults=(("salt", 0), ("seeds", 20)),
+        defaults=(("salt", 0), ("seeds", 20), ("wide", 0)),
         # The runner *is* the differential harness; forcing a fast
         # backend would bypass it.
         vectorizable=False,

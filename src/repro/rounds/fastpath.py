@@ -548,6 +548,42 @@ def simulate_fastpath_batch(
     has fully retired — so the concurrent lane count (and therefore the
     memory envelope) never exceeds ``width`` in either mode.
 
+    **Fast-forward.**  A lane whose state has stopped changing is
+    retired at its budget without running the rest of its rounds.  Call
+    a live lane *stationary* after its local round ``r > n_lane`` when
+    its ``PT``, nodes, estimates and decided flags equal those at the
+    end of round ``r - 1`` and every nonzero label rose by exactly 1
+    (``labels_r == labels_{r-1} + (labels_{r-1} > 0)``).  While ``PT``
+    keeps every edge, round ``r + 1`` then repeats round ``r`` up to
+    that label shift, because the round function commutes with it:
+
+    * the sender-max merge commutes with ``+1`` on nonzero labels (the
+      shift is monotone and keeps 0 at 0), and the fresh in-edge label
+      ``r + 1`` is the shift of ``r`` on the same ``PT`` edges;
+    * the purge floor ``max(r - window, 0)`` moves with ``r``, so a
+      shifted label survives exactly when the unshifted one did, and
+      ``present`` repeats; so do the closure, the prune mask and the
+      node union ``PT·V | I``;
+    * the line-27 minimum reads the same ``PT`` and the same estimates;
+      adoption reads only ``PT`` and ``decided``; the decide test reads
+      the closure and the nodes.  None of them changed anything in round
+      ``r``, so none changes anything in round ``r + 1``.
+
+    By induction every later round repeats as long as no round drops a
+    ``PT`` edge, and ``PT`` can only shrink.  So the gate fetches the
+    lane's remaining schedule in its own tail-block cadence (the blocks
+    it would have fetched anyway, so ``rng_*`` counters stay exact) and
+    harvests the lane at ``num_rounds = max_rounds`` if no remaining
+    round drops a ``PT`` edge.  Otherwise it stops at the block holding
+    the first such round and does not check the lane again until it
+    has run that round.
+    The gate is a handful of ``(S, ...)`` tests per round; the label
+    comparison runs only on lanes that pass them.  Fast-forwarding
+    never depends on an adversary's declared stable graph, and
+    :func:`simulate_fastpath` always runs every round, so it stays the
+    independent reference (the sampled ``kernel.fast_forward`` contract
+    re-runs a fast-forwarded lane through it).
+
     Returns one :class:`FastPathRun` per task, in task order, each
     bit-identical to what ``simulate_fastpath`` would have produced for
     that lane alone — the differential suite
@@ -608,6 +644,7 @@ def simulate_fastpath_batch(
     # the deterministic plane a pure function of the scenario set.
     rng_fetches = rng_tail_fetches = rng_rounds_fetched = 0
     compactions = lanes_refilled = 0
+    lanes_fast_forwarded = rounds_fast_forwarded = 0
 
     results: list[FastPathRun | None] = [None] * T
 
@@ -632,6 +669,11 @@ def simulate_fastpath_batch(
     dec_round = np.zeros((S, n), dtype=np.int64)
     dec_value = np.zeros((S, n), dtype=np.int64)
     active = np.ones(S, dtype=bool)
+    # Fast-forward bookkeeping: the PT edge count at the last gated
+    # round (-1 = none yet) and the first fetched round known to drop a
+    # PT edge (the lane is not checked again until it has run it).
+    pt_edges = np.full(S, -1, dtype=np.int64)
+    drop_round = np.zeros(S, dtype=np.int64)
     next_task = S
     new_labels = np.empty_like(labels)
     # Until the first mid-run admission every lane shares the global
@@ -646,8 +688,8 @@ def simulate_fastpath_batch(
     has_padding = bool((ln < n).any())
     pad_slots = ~lane_ok if has_padding else None
 
-    def ensure(targets: np.ndarray, lanes: np.ndarray) -> None:
-        """Fetch each lane's schedule up to its local target round.
+    def fetch(s: int, target: int) -> None:
+        """Fetch lane ``s``'s schedule up to its local round ``target``.
 
         Block sizes derive from the lane's *own* ``n`` (never the padded
         batch width): the first block covers rounds ``1..n+1`` (no
@@ -659,49 +701,110 @@ def simulate_fastpath_batch(
         each lane's fetch stream is bit-identical under any packing.
         """
         nonlocal rng_fetches, rng_tail_fetches, rng_rounds_fetched
-        for s in np.nonzero(lanes)[0]:
-            lane_cap = int(mr[s])
+        lane_cap = int(mr[s])
+        have = int(filled[s])
+        if have >= min(target, lane_cap):
+            return
+        lane_n = int(ln[s])
+        block = max(lane_n + 1, 8) if have == 0 else max(4, (lane_n + 1) // 4)
+        upto = min(max(target, min(have + block, lane_cap)), lane_cap)
+        rng_fetches += 1
+        if have > 0:
+            rng_tail_fetches += 1
+        rng_rounds_fetched += upto - have
+        fetched = np.asarray(
+            t_provider[int(origin[s])](upto - have, have + 1), dtype=bool
+        )
+        if fetched.shape != (upto - have, lane_n, lane_n):
+            raise ValueError(
+                f"schedule provider returned shape {fetched.shape}, "
+                f"expected {(upto - have, lane_n, lane_n)}"
+            )
+        contracts = _get_contracts()
+        if contracts and contracts.sample("kernel.block_fetch"):
+            contracts.check_block_fetch(
+                t_provider[int(origin[s])], upto - have, have + 1, fetched,
+                context={
+                    "n": lane_n,
+                    "lane": s,
+                    "kernel": "simulate_fastpath_batch",
+                },
+            )
+        # Padded rows/cols (>= lane_n) stay False: the round-1 PT
+        # intersection then removes every padded sender before any
+        # commit point reads it.
+        schedule[s, have:upto, :lane_n, :lane_n] = fetched
+        if enforce_self_delivery:
+            d = idx[:lane_n]
+            schedule[s, have:upto, d, d] = True
+        filled[s] = upto
+
+    def keeps_pt_to_budget(s: int) -> bool:
+        """Whether no round of lane ``s`` after its current one drops a
+        ``PT`` edge.  Fetches the rest of the schedule one tail block at
+        a time and stops at the block holding the first dropping round,
+        which it records in ``drop_round``."""
+        done = int(r_loc[s])
+        kept = pt[s]
+        while True:
             have = int(filled[s])
-            if have >= min(int(targets[s]), lane_cap):
-                continue
-            lane_n = int(ln[s])
-            block = (
-                max(lane_n + 1, 8) if have == 0 else max(4, (lane_n + 1) // 4)
+            if have > done:
+                # Round u drops p <- q when q is in PT_p but u has no
+                # edge q -> p: PT_p[q] > G_u.T[p, q].
+                later = np.transpose(schedule[s, done:have], (0, 2, 1))
+                drops = np.greater(kept, later).any(axis=(1, 2))
+                if drops.any():
+                    drop_round[s] = done + 1 + int(np.argmax(drops))
+                    return False
+                done = have
+            if have >= mr[s]:
+                return True
+            fetch(s, have + 1)
+
+    def stationary(retiring: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """The lanes whose round changed nothing but the label clock
+        (see the fast-forward paragraph above), cheapest tests first."""
+        lanes = active & ~retiring & elig & (r_loc > drop_round)
+        lanes &= edges == pt_edges
+        if not lanes.any():
+            return np.nonzero(lanes)[0]
+        # Both adoption and the decide test stamp dec_round with the
+        # lane's local round, so a decided flag flipped this round iff
+        # its slot carries r_loc.
+        lanes &= ~(dec_round == r_loc[:, None]).any(axis=1)
+        lanes &= (est == sent_est).all(axis=1)
+        lanes &= (nodes == prev_nodes).all(axis=(1, 2))
+        cand = np.nonzero(lanes)[0]
+        if cand.size:
+            before = new_labels[cand]  # the labels of round r - 1
+            shifted = (labels[cand] == before + (before > 0)).all(
+                axis=(1, 2, 3)
             )
-            upto = min(
-                max(int(targets[s]), min(have + block, lane_cap)), lane_cap
-            )
-            rng_fetches += 1
-            if have > 0:
-                rng_tail_fetches += 1
-            rng_rounds_fetched += upto - have
-            fetched = np.asarray(
-                t_provider[int(origin[s])](upto - have, have + 1), dtype=bool
-            )
-            if fetched.shape != (upto - have, lane_n, lane_n):
-                raise ValueError(
-                    f"schedule provider returned shape {fetched.shape}, "
-                    f"expected {(upto - have, lane_n, lane_n)}"
-                )
-            contracts = _get_contracts()
-            if contracts and contracts.sample("kernel.block_fetch"):
-                contracts.check_block_fetch(
-                    t_provider[int(origin[s])], upto - have, have + 1,
-                    fetched,
-                    context={
-                        "n": lane_n,
-                        "lane": int(s),
-                        "kernel": "simulate_fastpath_batch",
-                    },
-                )
-            # Padded rows/cols (>= lane_n) stay False: the round-1 PT
-            # intersection then removes every padded sender before any
-            # commit point reads it.
-            schedule[s, have:upto, :lane_n, :lane_n] = fetched
-            if enforce_self_delivery:
-                d = idx[:lane_n]
-                schedule[s, have:upto, d, d] = True
-            filled[s] = upto
+            cand = cand[shifted]
+        return cand
+
+    def check_fast_forward(contracts, s: int) -> None:
+        """Re-run fast-forwarded lane ``s`` round by round through
+        :func:`simulate_fastpath` and compare (sampled contract)."""
+        t = int(origin[s])
+        contracts.check_fast_forward(
+            lambda: simulate_fastpath(
+                t_provider[t],
+                tasks[t].initial_values,
+                purge_window=int(window[s]),
+                prune_unreachable=bool(prune[s]),
+                stop_when_all_decided=stop_when_all_decided,
+                enforce_self_delivery=enforce_self_delivery,
+                max_rounds=int(mr[s]),
+            ),
+            results[t],
+            context={
+                "n": int(ln[s]),
+                "lane": s,
+                "round": int(r_loc[s]),
+                "kernel": "simulate_fastpath_batch",
+            },
+        )
 
     def harvest(s: int, local_round: int) -> None:
         lane_n = int(ln[s])
@@ -722,9 +825,8 @@ def simulate_fastpath_batch(
         r += 1
         S = origin.size
         r_loc = r - offset  # per-lane local round numbers
-        need = active & (filled < r_loc)
-        if need.any():
-            ensure(r_loc, need)
+        for s in np.nonzero(active & (filled < r_loc))[0]:
+            fetch(int(s), int(r_loc[s]))
         act = active[:, None]
         # Sending phase: freeze beginning-of-round estimates for every
         # lane (cheap at (S, n); the per-scenario copy-elision would need
@@ -820,7 +922,7 @@ def simulate_fastpath_batch(
                 dec_value[newly] = est[newly]
 
         labels, new_labels = new_labels, labels
-        nodes = new_nodes
+        prev_nodes, nodes = nodes, new_nodes
         # Retire lanes: everyone decided, or the lane's own round budget
         # is spent — either way its local clock is its round count.
         # Padded owner slots never decide, so completion ignores them.
@@ -832,7 +934,24 @@ def simulate_fastpath_batch(
         if retire.any():
             for s in np.nonzero(retire)[0]:
                 harvest(int(s), int(r_loc[s]))
-            active &= ~retire
+        # Fast-forward stationary lanes to their budget.  PT only
+        # shrinks, so an edge count equal to the last gated round's
+        # means no edge dropped since.
+        if bool(elig.any()):
+            edges = np.bincount(ss, minlength=S)
+            for s in stationary(retire, edges):
+                s = int(s)
+                if not keeps_pt_to_budget(s):
+                    continue
+                lanes_fast_forwarded += 1
+                rounds_fast_forwarded += int(mr[s] - r_loc[s])
+                harvest(s, int(mr[s]))
+                retire[s] = True
+                contracts = _get_contracts()
+                if contracts and contracts.sample("kernel.fast_forward"):
+                    check_fast_forward(contracts, s)
+            pt_edges = edges
+        active &= ~retire
 
         live = int(active.sum())
         lanes_changed = False
@@ -864,6 +983,8 @@ def simulate_fastpath_batch(
             dec_round = dec_round[keep]
             dec_value = dec_value[keep]
             active = active[keep]
+            pt_edges = pt_edges[keep]
+            drop_round = drop_round[keep]
             live = origin.size
         # Admission: with compaction on, refill freed width mid-run;
         # with compaction off, start the next width-sized generation
@@ -917,6 +1038,12 @@ def simulate_fastpath_batch(
                 [dec_value, np.zeros((take, n), dtype=np.int64)]
             )
             active = np.concatenate([active, np.ones(take, dtype=bool)])
+            pt_edges = np.concatenate(
+                [pt_edges, np.full(take, -1, dtype=np.int64)]
+            )
+            drop_round = np.concatenate(
+                [drop_round, np.zeros(take, dtype=np.int64)]
+            )
         if lanes_changed:
             if new_labels.shape != labels.shape:
                 new_labels = np.empty_like(labels)
@@ -945,6 +1072,8 @@ def simulate_fastpath_batch(
         recorder.vinc("kernel.loop_rounds", r)
         recorder.vinc("kernel.compactions", compactions)
         recorder.vinc("kernel.lanes_refilled", lanes_refilled)
+        recorder.vinc("kernel.lanes_fast_forwarded", lanes_fast_forwarded)
+        recorder.vinc("kernel.rounds_fast_forwarded", rounds_fast_forwarded)
         recorder.vinc("kernel.closure_calls", r)
         recorder.vinc(
             "kernel.closure_iterations", r * _closure_iterations(n)

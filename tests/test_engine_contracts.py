@@ -50,6 +50,7 @@ def test_null_contracts_is_falsy_and_inert():
     NO_CONTRACTS.check_canonical_backend_free("a", "b")
     NO_CONTRACTS.check_scenario_id(None)
     NO_CONTRACTS.check_merge_commutative([])
+    NO_CONTRACTS.check_fast_forward(None, None)
 
 
 def test_get_defaults_to_off():
@@ -248,6 +249,107 @@ def test_check_merge_commutative_passes_on_real_snapshots():
     active.check_merge_commutative([a.snapshot()])
 
 
+def test_checks_are_counted_per_contract():
+    active = Contracts()
+    stack = np.ones((2, 3, 3), dtype=bool)
+    active.check_block_fetch(lambda c, s: stack, 2, 1, stack)
+    active.check_block_fetch(lambda c, s: stack, 2, 1, stack)
+    active.check_plan([1], lambda: [1])
+    assert active.counts == {
+        "adversary.block_fetch_purity": 2,
+        "scheduler.plan_determinism": 1,
+    }
+    assert active.checks == 3
+
+
+def test_check_fast_forward_pass_and_fail():
+    from dataclasses import replace
+
+    from test_fastpath_fast_forward import _task, cycle_schedule
+
+    from repro.rounds.fastpath import simulate_fastpath
+
+    task = _task(cycle_schedule())
+    run = simulate_fastpath(task.adjacency, [5, 3, 7], purge_window=1)
+    active = Contracts()
+    active.check_fast_forward(lambda: run, run)
+    cut = replace(run, num_rounds=run.num_rounds - 1)
+    with pytest.raises(ContractViolation) as info:
+        active.check_fast_forward(lambda: run, cut, context={"lane": 2})
+    assert info.value.contract == "kernel.fast_forward"
+    assert "num_rounds" in info.value.detail
+    assert info.value.repro == {"lane": 2}
+    assert active.counts == {"kernel.fast_forward": 2}
+
+
+def _fast_forward_batch():
+    """A stationary lane, a refused one and an ordinary one, batched."""
+    from test_fastpath_fast_forward import _task, cycle_schedule
+
+    from repro.engine.telemetry import Recorder
+    from repro.rounds.fastpath import simulate_fastpath_batch
+
+    tasks = [
+        _task(cycle_schedule()),
+        _task(cycle_schedule(drop=25)),
+        _task(cycle_schedule()),
+    ]
+    rec = Recorder()
+    runs = simulate_fastpath_batch(tasks, recorder=rec)
+    keys = [
+        (r.num_rounds, r.decided.tobytes(), r.decision_round.tobytes(),
+         r.decision_value.tobytes(), r.adjacency.tobytes())
+        for r in runs
+    ]
+    return keys, rec.snapshot()
+
+
+def test_fast_forward_contract_armed_vs_disabled(monkeypatch):
+    # pymor's disabled-contracts idiom: off, the re-run never happens;
+    # armed, the first fast-forward is re-run (later ones sampled) and
+    # the results are the same bytes either way.
+    from repro.rounds import fastpath
+
+    reruns = []
+    real = fastpath.simulate_fastpath
+
+    def counted(*args, **kwargs):
+        reruns.append(kwargs.get("max_rounds"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fastpath, "simulate_fastpath", counted)
+    off_keys, off_snap = _fast_forward_batch()
+    assert reruns == []
+    with contracts_enabled() as active:
+        on_keys, on_snap = _fast_forward_batch()
+        assert active.counts.get("kernel.fast_forward") == 1
+    assert reruns == [40]
+    assert on_keys == off_keys
+    assert on_snap["deterministic"] == off_snap["deterministic"]
+    assert off_snap["volatile"]["counters"]["kernel.lanes_fast_forwarded"] == 2
+
+
+def test_fast_forward_run_is_deterministic():
+    # The SHAMS validator idiom: two identical runs, r1 == r2, both for
+    # the results and for every kernel counter (fast-forwards included).
+    with contracts_enabled():
+        r1 = _fast_forward_batch()
+        r2 = _fast_forward_batch()
+    assert r1[0] == r2[0]
+    assert r1[1]["deterministic"] == r2[1]["deterministic"]
+    assert r1[1]["volatile"]["counters"] == r2[1]["volatile"]["counters"]
+
+
+def test_refused_lane_is_not_rerun():
+    from test_fastpath_fast_forward import _task, cycle_schedule
+
+    from repro.rounds.fastpath import simulate_fastpath_batch
+
+    with contracts_enabled() as active:
+        simulate_fastpath_batch([_task(cycle_schedule(drop=25))])
+        assert "kernel.fast_forward" not in active.counts
+
+
 # ----------------------------------------------------------------------
 # End-to-end: checkpoints wired into the engine
 # ----------------------------------------------------------------------
@@ -381,3 +483,54 @@ def test_cli_campaign_run_contracts_flag(tmp_path, capsys):
     assert "state: ok" in out
     # Contracts were actually armed in-process.
     assert contracts_module.enabled()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_contract_checks_reach_the_metrics_sidecar(tmp_path, jobs):
+    from repro.cli import main
+    from repro.engine.telemetry import read_sidecar
+
+    # The ablation family's no-pruning arm holds two never-deciding
+    # stragglers the kernel fast-forwards; with --jobs 2 the counts
+    # come back from the pool workers' snapshots.
+    store = tmp_path / "journal.jsonl"
+    code = main(
+        [
+            "campaign", "run", "--store", str(store), "--family",
+            "ablation", "--contracts", "--metrics", "--backend", "auto",
+            "--no-progress", "--jobs", jobs, "-n", "5", "-k", "2",
+            "--seeds", "2",
+        ]
+    )
+    assert code == 0
+    side = read_sidecar(f"{store}.metrics.json")
+    counters = side["volatile"]["counters"]
+    checks = {
+        name[len("contracts."):]: value
+        for name, value in counters.items()
+        if name.startswith("contracts.")
+    }
+    assert checks.get("kernel.fast_forward", 0) > 0, checks
+    for name in (
+        "adversary.block_fetch_purity",
+        "scheduler.plan_determinism",
+        "scenarios.id",
+    ):
+        assert checks.get(name, 0) > 0, (name, checks)
+    assert counters["kernel.lanes_fast_forwarded"] == 2
+
+
+def test_metrics_sidecar_has_no_contract_counts_when_off(tmp_path):
+    from repro.cli import main
+    from repro.engine.telemetry import read_sidecar
+
+    store = tmp_path / "journal.jsonl"
+    assert main(
+        [
+            "campaign", "run", "--store", str(store), "--metrics",
+            "--backend", "auto", "--no-progress", "-n", "5", "-k", "2",
+            "--seeds", "2", "--noise", "0.1",
+        ]
+    ) == 0
+    counters = read_sidecar(f"{store}.metrics.json")["volatile"]["counters"]
+    assert not [name for name in counters if name.startswith("contracts.")]

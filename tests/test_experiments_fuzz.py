@@ -39,6 +39,59 @@ def test_grid_cases_are_tagged_and_varied():
     assert len({s.n for s in grid}) >= 3
 
 
+def test_existing_case_ids_stay_pinned():
+    # Scenario ids are journal resume keys: adding the wide stream (and
+    # its default-0 ``wide`` param) must not move any existing case.
+    family = get_family("fuzz")
+    assert [s.scenario_id for s in family.grid({"seeds": 6})] == [
+        "24ab5c7145ab", "9b152a6bb614", "a99b71e90227",
+        "326a63dcb688", "60a4dcab4176", "3a42374a1cbf",
+    ]
+    assert [s.scenario_id for s in family.grid({"seeds": 3, "salt": 7})] == [
+        "c1bb145aa583", "ba71bdf341c5", "e7325c07fbd6",
+    ]
+    assert family.grid({"seeds": 6, "wide": 4})[:6] == family.grid(
+        {"seeds": 6}
+    )
+
+
+def test_wide_stream_draws_the_wide_regime():
+    family = get_family("fuzz")
+    wide = family.grid({"seeds": 0, "wide": 24})
+    assert [s.opt("case") for s in wide] == list(range(24))
+    assert all(s.opt("stream") == "wide" for s in wide)
+    assert {s.n for s in wide} == set(fuzz_module._WIDE_NS)
+    # Both sides of the fast-forward gate: never-deciding no-prune
+    # lanes, and purge windows of several n whose stale labels refuse.
+    assert any(s.opt("prune_unreachable") is False for s in wide)
+    assert any(s.opt("purge_window", 0) >= 2 * s.n for s in wide)
+    # A bigger budget extends, never reshuffles; a salt redraws.
+    assert family.grid({"seeds": 0, "wide": 6}) == wide[:6]
+    assert family.grid({"seeds": 0, "wide": 6, "salt": 1}) != wide[:6]
+    assert _base_spec(wide[0]).opt("stream") is None
+
+
+def test_wide_budget_runs_clean_on_the_single_lane_oracle(monkeypatch):
+    from repro.engine.contracts import contracts_enabled
+
+    # From n = 16 the oracle is the single-lane kernel: the reference
+    # simulator must not run at all.
+    def no_reference(spec):
+        raise AssertionError(f"reference simulator ran at n={spec.n}")
+
+    monkeypatch.setattr(fuzz_module, "execute_scenario", no_reference)
+    with contracts_enabled() as active:
+        results = run_family("fuzz", {"seeds": 0, "wide": 8})
+        assert active.counts.get("kernel.fast_forward", 0) > 0
+    assert len(results) == 8
+    assert all(r.ok for r in results), [r.error for r in results]
+    assert all(r.extra("engines") == 2 for r in results)
+    late = [
+        r for r in results if r.spec.opt("purge_window", 0) >= 2 * r.spec.n
+    ]
+    assert late and all(r.all_decided for r in late)
+
+
 def test_base_spec_strips_fuzz_bookkeeping():
     family = get_family("fuzz")
     spec = family.grid({"seeds": 1})[0]
