@@ -14,8 +14,8 @@ what the mega-batched backend exists for: the batch scheduler packs a
 grid's same-``n`` scenarios into one ``(S, n, ...)`` tensor program).
 The HETERO-LAT workload additionally measures the scheduler's lane
 **compaction** gain: heterogeneous-latency ensembles (early-deciding
-lanes mixed with full-budget stragglers) timed with compaction on vs the
-mask-only kernel behavior the PR-4 backend had.
+lanes mixed with late deciders and full-budget stragglers) timed with
+compaction on vs the mask-only kernel behavior the PR-4 backend had.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from repro.engine.store import canonical_line, journal_line
 MIN_SPEEDUP = 2.5  # vectorized (and batched) over reference
 MIN_BATCH_GAIN = 1.2  # batched over vectorized, median across groups
 # Lane compaction over mask-only batching (the PR-4 kernel behavior) on
-# the heterogeneous-latency ensemble; measured ~1.9-2.7x.
+# the heterogeneous-latency ensemble, whose tail is the 5n-window late
+# deciders; measured ~1.3-2.2x per group (median 1.45-1.66).
 MIN_COMPACTION_GAIN = 1.3
 # The planner's cross-n packing over running each n as its own work
 # list, on sparse mixed-width ensembles; measured ~1.35-2.0x.

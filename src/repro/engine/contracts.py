@@ -3,9 +3,10 @@
 The engine's correctness story is a web of *pure-function* contracts —
 adversary ``adjacency_stack`` block fetches are pure in ``(count,
 start)``, the batch scheduler's plan is a pure function of the work
-list, a compacted batch lane is bit-identical to a singleton run,
-canonical summaries are backend-free, and the telemetry recorder's
-deterministic plane merges commutatively.  Historically those are
+list, a compacted batch lane is bit-identical to a singleton run, a
+fast-forwarded lane to its round-by-round run, canonical summaries are
+backend-free, and the telemetry recorder's deterministic plane merges
+commutatively.  Historically those are
 enforced only by fixed test suites; this module makes them *runtime
 checkable* so a fuzz campaign (or any paranoid production run) can
 validate them against live workloads.
@@ -27,9 +28,12 @@ Design mirrors :mod:`repro.engine.telemetry` exactly:
   loudly instead of becoming an ``"error"`` journal record.
 
 Checks that re-run work (block re-fetch, re-plan, singleton lane
-re-execution) are *sampled* through :meth:`Contracts.sample` so the
-contracts-on overhead stays bounded; the first occurrence of every
-checkpoint is always validated.
+re-execution, the round-by-round re-run of a fast-forwarded lane) are
+*sampled* through :meth:`Contracts.sample` so the contracts-on overhead
+stays bounded; the first occurrence of every checkpoint is always
+validated.  Each process counts the checks it ran per contract
+(:attr:`Contracts.counts`), and :func:`record_checks` carries them into
+a ``--metrics`` sidecar.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ class Contracts:
         self.violations = 0
         #: Checks run so far, per contract name (``checks`` is the sum).
         self.counts: dict[str, int] = {}
-        self._counts: dict[str, int] = {}
+        self._seen: dict[str, int] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -167,8 +171,8 @@ class Contracts:
 
         Deterministic per process: the first occurrence and every
         ``sample_every``-th after it."""
-        seen = self._counts.get(name, 0)
-        self._counts[name] = seen + 1
+        seen = self._seen.get(name, 0)
+        self._seen[name] = seen + 1
         return seen % self.sample_every == 0
 
     def _checked(self, contract: str) -> None:
@@ -420,7 +424,9 @@ def record_checks(recorder, mark: dict[str, int] | None) -> None:
 
     Each process records only its own checks (a pool or fleet worker
     per unit, the parent once per run), so merging the workers'
-    snapshots counts every check once."""
+    snapshots counts every check once.  The parent's count covers its
+    whole process over the run: a daemon running campaigns side by side
+    credits each with the parent-side checks of the others too."""
     if mark is None or not recorder:
         return
     for name, count in get().counts.items():

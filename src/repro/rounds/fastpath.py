@@ -783,7 +783,7 @@ def simulate_fastpath_batch(
             cand = cand[shifted]
         return cand
 
-    def check_fast_forward(contracts, s: int) -> None:
+    def verify_fast_forward(contracts, s: int) -> None:
         """Re-run fast-forwarded lane ``s`` round by round through
         :func:`simulate_fastpath` and compare (sampled contract)."""
         t = int(origin[s])
@@ -949,7 +949,7 @@ def simulate_fastpath_batch(
                 retire[s] = True
                 contracts = _get_contracts()
                 if contracts and contracts.sample("kernel.fast_forward"):
-                    check_fast_forward(contracts, s)
+                    verify_fast_forward(contracts, s)
             pt_edges = edges
         active &= ~retire
 

@@ -265,11 +265,11 @@ def test_checks_are_counted_per_contract():
 def test_check_fast_forward_pass_and_fail():
     from dataclasses import replace
 
-    from test_fastpath_fast_forward import _task, cycle_schedule
+    from test_fastpath_fast_forward import cycle_schedule, cycle_task
 
     from repro.rounds.fastpath import simulate_fastpath
 
-    task = _task(cycle_schedule())
+    task = cycle_task(cycle_schedule())
     run = simulate_fastpath(task.adjacency, [5, 3, 7], purge_window=1)
     active = Contracts()
     active.check_fast_forward(lambda: run, run)
@@ -284,15 +284,15 @@ def test_check_fast_forward_pass_and_fail():
 
 def _fast_forward_batch():
     """A stationary lane, a refused one and an ordinary one, batched."""
-    from test_fastpath_fast_forward import _task, cycle_schedule
+    from test_fastpath_fast_forward import cycle_schedule, cycle_task
 
     from repro.engine.telemetry import Recorder
     from repro.rounds.fastpath import simulate_fastpath_batch
 
     tasks = [
-        _task(cycle_schedule()),
-        _task(cycle_schedule(drop=25)),
-        _task(cycle_schedule()),
+        cycle_task(cycle_schedule()),
+        cycle_task(cycle_schedule(drop=25)),
+        cycle_task(cycle_schedule()),
     ]
     rec = Recorder()
     runs = simulate_fastpath_batch(tasks, recorder=rec)
@@ -341,12 +341,12 @@ def test_fast_forward_run_is_deterministic():
 
 
 def test_refused_lane_is_not_rerun():
-    from test_fastpath_fast_forward import _task, cycle_schedule
+    from test_fastpath_fast_forward import cycle_schedule, cycle_task
 
     from repro.rounds.fastpath import simulate_fastpath_batch
 
     with contracts_enabled() as active:
-        simulate_fastpath_batch([_task(cycle_schedule(drop=25))])
+        simulate_fastpath_batch([cycle_task(cycle_schedule(drop=25))])
         assert "kernel.fast_forward" not in active.counts
 
 

@@ -7,10 +7,10 @@ remaining round drops one.  These tests pin that it does so exactly
 when it may:
 
 * a crafted schedule that stays stationary to its budget is
-  fast-forwarded, and one that drops a PT edge after a stationary
-  stretch is refused; both equal the single-lane
-  :func:`~repro.rounds.fastpath.simulate_fastpath` run, which never
-  fast-forwards;
+  fast-forwarded; one that drops a PT edge after a stationary stretch,
+  and one whose stale labels do not rise, are refused; each equals the
+  single-lane :func:`~repro.rounds.fastpath.simulate_fastpath` run,
+  which never fast-forwards;
 * under compaction, mask-only batching, width caps (late admission) and
   cross-``n`` packing the results stay bit-identical;
 * the deterministic kernel counters of a small straggler grid equal
@@ -54,7 +54,8 @@ def cycle_schedule(rounds: int = BUDGET, drop: int | None = None):
     return sched
 
 
-def _task(sched, **kwargs) -> FastPathTask:
+def cycle_task(sched, **kwargs) -> FastPathTask:
+    """A lane running ``sched`` with purge window 1."""
     return FastPathTask(
         adjacency=sched, initial_values=(5, 3, 7), purge_window=1,
         **kwargs,
@@ -85,7 +86,7 @@ def _fast_forwarded(tasks, **kwargs):
 
 
 def test_stationary_lane_is_fast_forwarded_to_its_budget():
-    task = _task(cycle_schedule())
+    task = cycle_task(cycle_schedule())
     rec = Recorder()
     (run,) = simulate_fastpath_batch([task], recorder=rec)
     assert _key(run) == _key(_solo(task))
@@ -98,7 +99,7 @@ def test_stationary_lane_is_fast_forwarded_to_its_budget():
 
 
 def test_lane_that_drops_a_pt_edge_later_is_refused():
-    task = _task(cycle_schedule(drop=DROP))
+    task = cycle_task(cycle_schedule(drop=DROP))
     (run,), forwarded = _fast_forwarded([task])
     assert forwarded == 0
     assert _key(run) == _key(_solo(task))
@@ -108,11 +109,29 @@ def test_lane_that_drops_a_pt_edge_later_is_refused():
 
 
 def test_drop_on_the_last_budget_round_is_refused():
-    task = _task(cycle_schedule(drop=BUDGET))
+    task = cycle_task(cycle_schedule(drop=BUDGET))
     (run,), forwarded = _fast_forwarded([task])
     assert forwarded == 0
     assert _key(run) == _key(_solo(task))
     assert run.decision_rounds() == {0: BUDGET}
+
+
+def test_stale_labels_refuse_the_shift():
+    # 0 <-> 1 throughout; 2 -> 0 and 2 -> 1 only in rounds 1-2.  From
+    # round 5 PT, nodes, estimates and decisions repeat, but the stale
+    # round-2 labels on 2 -> 0 and 2 -> 1 do not rise, so the lane is
+    # not stationary: once window 6 purges them (round 8), G_0 and G_1
+    # lose node 2 and 0 and 1 decide.
+    sched = np.zeros((BUDGET, 3, 3), dtype=bool)
+    sched[:, 0, 1] = sched[:, 1, 0] = True
+    sched[:2, 2, 0] = sched[:2, 2, 1] = True
+    task = FastPathTask(
+        adjacency=sched, initial_values=(5, 3, 7), purge_window=6
+    )
+    (run,), forwarded = _fast_forwarded([task])
+    assert forwarded == 0
+    assert _key(run) == _key(_solo(task))
+    assert run.decision_rounds() == {0: 8, 1: 8, 2: 4}
 
 
 def test_provider_lane_fetches_the_same_blocks():
@@ -147,15 +166,15 @@ def test_mixed_batch_matches_singletons(kwargs):
     spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=3, noise=0.2)
     adversary = spec.build_adversary()
     tasks = [
-        _task(cycle_schedule()),
-        _task(cycle_schedule(drop=DROP)),
+        cycle_task(cycle_schedule()),
+        cycle_task(cycle_schedule(drop=DROP)),
         FastPathTask(
             adjacency=adversary.adjacency_stack,
             initial_values=tuple(range(5)),
             max_rounds=spec.resolved_max_rounds(),
         ),
-        _task(cycle_schedule(drop=12)),
-        _task(cycle_schedule()),
+        cycle_task(cycle_schedule(drop=12)),
+        cycle_task(cycle_schedule()),
     ]
     runs, forwarded = _fast_forwarded(tasks, **kwargs)
     assert forwarded == 2
@@ -165,7 +184,7 @@ def test_mixed_batch_matches_singletons(kwargs):
 def test_fully_decided_lanes_fast_forward_without_the_early_stop():
     # stop_when_all_decided=False keeps decided lanes running to their
     # budget; a decided lane whose state stopped changing qualifies too.
-    task = _task(cycle_schedule(drop=8))
+    task = cycle_task(cycle_schedule(drop=8))
     rec = Recorder()
     (run,) = simulate_fastpath_batch(
         [task], stop_when_all_decided=False, recorder=rec
