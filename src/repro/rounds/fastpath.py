@@ -766,14 +766,13 @@ def simulate_fastpath_batch(
         (see the fast-forward paragraph above), cheapest tests first."""
         lanes = active & ~retiring & elig & (r_loc > drop_round)
         lanes &= edges == pt_edges
-        if not lanes.any():
-            return np.nonzero(lanes)[0]
-        # Both adoption and the decide test stamp dec_round with the
-        # lane's local round, so a decided flag flipped this round iff
-        # its slot carries r_loc.
-        lanes &= ~(dec_round == r_loc[:, None]).any(axis=1)
-        lanes &= (est == sent_est).all(axis=1)
-        lanes &= (nodes == prev_nodes).all(axis=(1, 2))
+        if lanes.any():
+            # Both adoption and the decide test stamp dec_round with the
+            # lane's local round, so a decided flag flipped this round
+            # iff its slot carries r_loc.
+            lanes &= ~(dec_round == r_loc[:, None]).any(axis=1)
+            lanes &= (est == sent_est).all(axis=1)
+            lanes &= (nodes == prev_nodes).all(axis=(1, 2))
         cand = np.nonzero(lanes)[0]
         if cand.size:
             before = new_labels[cand]  # the labels of round r - 1
@@ -906,7 +905,8 @@ def simulate_fastpath_batch(
         # passes its *own* n — packed narrow lanes become eligible
         # before the padded width would, late-admitted lanes later.
         elig = r_loc > ln
-        if bool(elig.any()):
+        any_elig = bool(elig.any())
+        if any_elig:
             reached_by_owner = closure[:, idx, idx, :]  # [s, p, j]: p -> j
             mutual = reaches_owner & reached_by_owner
             strongly_connected = np.all(mutual | ~new_nodes, axis=2)
@@ -937,7 +937,7 @@ def simulate_fastpath_batch(
         # Fast-forward stationary lanes to their budget.  PT only
         # shrinks, so an edge count equal to the last gated round's
         # means no edge dropped since.
-        if bool(elig.any()):
+        if any_elig:
             edges = np.bincount(ss, minlength=S)
             for s in stationary(retire, edges):
                 s = int(s)
