@@ -157,14 +157,18 @@ class Contracts:
 
     def __init__(self, sample_every: int = SAMPLE_EVERY) -> None:
         self.sample_every = max(1, int(sample_every))
-        self.checks = 0
         self.violations = 0
-        #: Checks run so far, per contract name (``checks`` is the sum).
+        #: Checks run so far, per contract name.
         self.counts: dict[str, int] = {}
         self._seen: dict[str, int] = {}
 
     def __bool__(self) -> bool:
         return True
+
+    @property
+    def checks(self) -> int:
+        """Checks run so far, over every contract."""
+        return sum(self.counts.values())
 
     def sample(self, name: str) -> bool:
         """Whether this occurrence of checkpoint ``name`` is validated.
@@ -176,7 +180,6 @@ class Contracts:
         return seen % self.sample_every == 0
 
     def _checked(self, contract: str) -> None:
-        self.checks += 1
         self.counts[contract] = self.counts.get(contract, 0) + 1
 
     def _raise(self, contract: str, detail: str, repro: dict) -> None:

@@ -27,18 +27,19 @@ Grid determinism: case ``i`` of salt ``s`` is a pure function of
 two machines fuzzing the same budget draw the same cases and the journal
 resume keys line up.
 
-The ``wide`` grid param (default 0) appends that many cases from a
-second draw stream with its own tag, at ``n`` in {16, 20, 24, 32}: the
-widths where the batched kernel gathers only the ``PT_p`` senders,
-closes each distinct approximation graph once and fast-forwards lanes
-whose state has stopped changing.  A third of them run without pruning
-(never-deciding stragglers the kernel fast-forwards) and a third with a
-purge window of several ``n`` (late deciders it must refuse).  The
-reference simulator is too slow at these widths, so from ``n = 16``
-the oracle is the single-lane kernel
+A budget of ``seeds`` cases also appends ``seeds // 5`` *wide* cases,
+drawn from a second stream with its own tag at ``n`` in {16, 20, 24,
+32}: the widths where the batched kernel gathers only the ``PT_p``
+senders, closes each distinct approximation graph once and
+fast-forwards lanes whose state has stopped changing.  A third of them
+run without pruning (never-deciding stragglers the kernel
+fast-forwards) and a third with a purge window of several ``n`` (late
+deciders it must refuse).  The reference simulator is too slow at these
+widths, so from ``n = 16`` the oracle is the single-lane kernel
 (:func:`~repro.rounds.fastpath.simulate_fastpath`), which runs every
-round and never fast-forwards.  Having a stream of its own keeps every
-existing case, and so its scenario id, unchanged.
+round and never fast-forwards.  The wide cases come after the narrow
+ones and are numbered on their own, so no narrow case, and so no
+narrow scenario id, depends on the wide stream.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ from repro.engine.store import canonical_line
 #: RNG stream tag for the fuzz grid (keeps fuzz draws disjoint from every
 #: other seeded stream in the repo).
 _STREAM = 0xF022
-#: RNG stream tag of the wide cases (the ``wide`` grid param).
+#: RNG stream tag of the wide cases.
 _WIDE_STREAM = 0xF023
-#: The widths the wide stream draws from.
+#: The widths the wide stream draws from.  From the smallest of them the
+#: oracle is the single-lane kernel, not the reference simulator.
 _WIDE_NS = (16, 20, 24, 32)
-#: From this width the oracle is the single-lane kernel, not the
-#: reference simulator.
-_WIDE_MIN_N = 16
+#: A budget of ``seeds`` cases appends ``seeds // _WIDE_SHARE`` wide ones.
+_WIDE_SHARE = 5
 
 #: Options the fuzz layer adds on top of the scenario under test; the
 #: differential runner strips them to recover the plain spec.
@@ -166,9 +167,9 @@ def _draw_wide_case(salt: int, case: int) -> ScenarioSpec:
 def _fuzz_grid(params: Mapping[str, Any]) -> list[ScenarioSpec]:
     budget = int(params.get("seeds", 20))
     salt = int(params.get("salt", 0))
-    wide = int(params.get("wide", 0))
     return [_draw_case(salt, case) for case in range(budget)] + [
-        _draw_wide_case(salt, case) for case in range(wide)
+        _draw_wide_case(salt, case)
+        for case in range(budget // _WIDE_SHARE)
     ]
 
 
@@ -205,7 +206,7 @@ def _run_engines(
     oracle is the reference simulator, or from ``n = 16`` the
     single-lane kernel (the ``vectorized`` backend)."""
     got: dict[str, str] = {}
-    if base.n >= _WIDE_MIN_N:
+    if base.n >= min(_WIDE_NS):
         want = _normalize(execute_scenario_vectorized(base), base)
     else:
         want = _normalize(execute_scenario(base), base)
@@ -394,7 +395,7 @@ register(
             r.extra("engines"),
         ],
         runner=run_fuzz_case,
-        defaults=(("salt", 0), ("seeds", 20), ("wide", 0)),
+        defaults=(("salt", 0), ("seeds", 20)),
         # The runner *is* the differential harness; forcing a fast
         # backend would bypass it.
         vectorizable=False,

@@ -33,31 +33,40 @@ def test_grid_cases_are_tagged_and_varied():
     family = get_family("fuzz")
     grid = family.grid({"seeds": 30})
     assert all(s.opt("family") == "fuzz" for s in grid)
-    assert [s.opt("case") for s in grid] == list(range(30))
+    # 30 narrow cases, then 30 // 5 wide ones, each stream numbered on
+    # its own.
+    assert [s.opt("case") for s in grid] == list(range(30)) + list(range(6))
+    assert [s.opt("stream") for s in grid] == [None] * 30 + ["wide"] * 6
     # The draw actually explores the scenario space.
     assert len({s.adversary for s in grid}) >= 3
     assert len({s.n for s in grid}) >= 3
 
 
 def test_existing_case_ids_stay_pinned():
-    # Scenario ids are journal resume keys: adding the wide stream (and
-    # its default-0 ``wide`` param) must not move any existing case.
+    # Scenario ids are journal resume keys: appending the wide cases
+    # must not move any narrow case.
     family = get_family("fuzz")
-    assert [s.scenario_id for s in family.grid({"seeds": 6})] == [
+    assert [s.scenario_id for s in family.grid({"seeds": 6})[:6]] == [
         "24ab5c7145ab", "9b152a6bb614", "a99b71e90227",
         "326a63dcb688", "60a4dcab4176", "3a42374a1cbf",
     ]
     assert [s.scenario_id for s in family.grid({"seeds": 3, "salt": 7})] == [
         "c1bb145aa583", "ba71bdf341c5", "e7325c07fbd6",
     ]
-    assert family.grid({"seeds": 6, "wide": 4})[:6] == family.grid(
-        {"seeds": 6}
-    )
+
+
+def test_default_budget_reaches_the_wide_regime():
+    # The plain ``fuzz`` run draws past n = 10, into the widths of the
+    # gathered merge, the distinct-graph closure and fast-forwarding.
+    grid = get_family("fuzz").grid()
+    assert len(grid) == 20 + 20 // 5
+    assert min(s.n for s in grid[20:]) >= min(fuzz_module._WIDE_NS)
+    assert max(s.n for s in grid[:20]) < min(fuzz_module._WIDE_NS)
 
 
 def test_wide_stream_draws_the_wide_regime():
     family = get_family("fuzz")
-    wide = family.grid({"seeds": 0, "wide": 24})
+    wide = family.grid({"seeds": 120})[120:]
     assert [s.opt("case") for s in wide] == list(range(24))
     assert all(s.opt("stream") == "wide" for s in wide)
     assert {s.n for s in wide} == set(fuzz_module._WIDE_NS)
@@ -66,12 +75,12 @@ def test_wide_stream_draws_the_wide_regime():
     assert any(s.opt("prune_unreachable") is False for s in wide)
     assert any(s.opt("purge_window", 0) >= 2 * s.n for s in wide)
     # A bigger budget extends, never reshuffles; a salt redraws.
-    assert family.grid({"seeds": 0, "wide": 6}) == wide[:6]
-    assert family.grid({"seeds": 0, "wide": 6, "salt": 1}) != wide[:6]
+    assert family.grid({"seeds": 30})[30:] == wide[:6]
+    assert family.grid({"seeds": 30, "salt": 1})[30:] != wide[:6]
     assert _base_spec(wide[0]).opt("stream") is None
 
 
-def test_wide_budget_runs_clean_on_the_single_lane_oracle(monkeypatch):
+def test_wide_cases_run_clean_on_the_single_lane_oracle(monkeypatch):
     from repro.engine.contracts import contracts_enabled
 
     # From n = 16 the oracle is the single-lane kernel: the reference
@@ -80,8 +89,9 @@ def test_wide_budget_runs_clean_on_the_single_lane_oracle(monkeypatch):
         raise AssertionError(f"reference simulator ran at n={spec.n}")
 
     monkeypatch.setattr(fuzz_module, "execute_scenario", no_reference)
+    wide = get_family("fuzz").grid({"seeds": 40})[40:]
     with contracts_enabled() as active:
-        results = run_family("fuzz", {"seeds": 0, "wide": 8})
+        results = [run_fuzz_case(spec) for spec in wide]
         assert active.counts.get("kernel.fast_forward", 0) > 0
     assert len(results) == 8
     assert all(r.ok for r in results), [r.error for r in results]
@@ -104,13 +114,13 @@ def test_base_spec_strips_fuzz_bookkeeping():
 
 def test_seeded_budget_runs_clean():
     results = run_family("fuzz", {"seeds": 6})
-    assert len(results) == 6
+    assert len(results) == 6 + 1  # six narrow cases and one wide
     assert all(r.ok for r in results)
     assert all(r.extra("engines") >= 2 for r in results)
     family = get_family("fuzz")
     text, code = family.render(results)
     assert code == 0
-    assert "6 differential cases" in text
+    assert "7 differential cases" in text
     assert "0 diverge" in text
 
 
