@@ -167,14 +167,6 @@ def record_fastpath():
     ) -> None:
         import numpy
 
-        data: dict = {}
-        if BENCH_FASTPATH_PATH.exists():
-            try:
-                data = json.loads(BENCH_FASTPATH_PATH.read_text())
-            except json.JSONDecodeError:
-                data = {}
-        if not isinstance(data, dict):
-            data = {}
         entry = {
             "scenarios": scenarios,
             "reference_s": round(reference_s, 4),
@@ -197,40 +189,78 @@ def record_fastpath():
             )
         if extra:
             entry.update(extra)
-        workloads = data.setdefault("workloads", {})
-        workloads[workload] = entry
-        data.pop("host", None)  # legacy file-level host block
-        data["schema"] = 5
 
-        def group_values(key: str) -> list:
-            return [
-                g[key]
-                for w in workloads.values()
-                for g in w.get("groups", ())
-                if key in g
-            ]
+        def update(data: dict) -> None:
+            workloads = data.setdefault("workloads", {})
+            workloads[workload] = entry
+            data.pop("host", None)  # legacy file-level host block
+            data["schema"] = 5
 
-        medians = {
-            "median_speedup": [w["speedup"] for w in workloads.values()],
-            "median_speedup_batched": [
-                w["speedup_batched"]
-                for w in workloads.values()
-                if "speedup_batched" in w
-            ],
-            "median_batched_vs_vectorized": group_values(
-                "speedup_vs_vectorized"
-            ),
-            "median_compaction_gain": group_values("compaction_gain"),
-            "median_packing_gain": group_values("packing_gain"),
-        }
-        for key in [k for k in data if k.startswith("median_")]:
-            del data[key]
-        for key, values in medians.items():
-            if values:
-                data[key] = round(statistics.median(values), 2)
-        BENCH_FASTPATH_PATH.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n"
-        )
+            def group_values(key: str) -> list:
+                return [
+                    g[key]
+                    for w in workloads.values()
+                    for g in w.get("groups", ())
+                    if key in g
+                ]
+
+            medians = {
+                "median_speedup": [
+                    w["speedup"] for w in workloads.values()
+                ],
+                "median_speedup_batched": [
+                    w["speedup_batched"]
+                    for w in workloads.values()
+                    if "speedup_batched" in w
+                ],
+                "median_batched_vs_vectorized": group_values(
+                    "speedup_vs_vectorized"
+                ),
+                "median_compaction_gain": group_values("compaction_gain"),
+                "median_packing_gain": group_values("packing_gain"),
+            }
+            for key in [k for k in data if k.startswith("median_")]:
+                del data[key]
+            for key, values in medians.items():
+                if values:
+                    data[key] = round(statistics.median(values), 2)
+
+        _upsert_bench(update)
+
+    return _record
+
+
+def _upsert_bench(update) -> None:
+    """Read-modify-write BENCH_FASTPATH.json: ``update`` changes the
+    parsed file in place (an empty dict when the file is missing or not
+    a JSON object), and the result is written back with sorted keys.
+    Every recorder goes through here, so each preserves the top-level
+    keys it does not own."""
+    data: dict = {}
+    if BENCH_FASTPATH_PATH.exists():
+        try:
+            data = json.loads(BENCH_FASTPATH_PATH.read_text())
+        except json.JSONDecodeError:
+            data = {}
+    if not isinstance(data, dict):
+        data = {}
+    update(data)
+    BENCH_FASTPATH_PATH.write_text(
+        json.dumps(data, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def _section_recorder(key: str, schema: int | None = None):
+    """A recorder that upserts one entry under the top-level ``key``,
+    stamping ``schema`` as the file's least version when given."""
+
+    def _record(entry: dict) -> None:
+        def update(data: dict) -> None:
+            data[key] = entry
+            if schema is not None:
+                data["schema"] = max(schema, int(data.get("schema", 0)))
+
+        _upsert_bench(update)
 
     return _record
 
@@ -238,75 +268,24 @@ def record_fastpath():
 @pytest.fixture
 def record_telemetry():
     """Upsert the telemetry-overhead measurement into BENCH_FASTPATH.json
-    under a top-level ``"telemetry"`` key.  :func:`record_fastpath`
-    rewrites the file but preserves unknown top-level keys, so the two
-    recorders coexist."""
-
-    def _record(entry: dict) -> None:
-        data: dict = {}
-        if BENCH_FASTPATH_PATH.exists():
-            try:
-                data = json.loads(BENCH_FASTPATH_PATH.read_text())
-            except json.JSONDecodeError:
-                data = {}
-        if not isinstance(data, dict):
-            data = {}
-        data["telemetry"] = entry
-        BENCH_FASTPATH_PATH.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n"
-        )
-
-    return _record
+    under a top-level ``"telemetry"`` key."""
+    return _section_recorder("telemetry")
 
 
 @pytest.fixture
 def record_dist_scale():
     """Upsert the distributed-execution measurement into
-    BENCH_FASTPATH.json under a top-level ``"dist_scale"`` key
-    (schema 5; coexists with the fastpath/telemetry/contracts recorders
-    exactly like :func:`record_telemetry`)."""
-
-    def _record(entry: dict) -> None:
-        data: dict = {}
-        if BENCH_FASTPATH_PATH.exists():
-            try:
-                data = json.loads(BENCH_FASTPATH_PATH.read_text())
-            except json.JSONDecodeError:
-                data = {}
-        if not isinstance(data, dict):
-            data = {}
-        data["dist_scale"] = entry
-        # dist_scale is a schema-5 field; stamp the version even when
-        # no fastpath workload re-ran in this session.
-        data["schema"] = max(5, int(data.get("schema", 0)))
-        BENCH_FASTPATH_PATH.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n"
-        )
-
-    return _record
+    BENCH_FASTPATH.json under a top-level ``"dist_scale"`` key.  It is a
+    schema-5 field, so the version is stamped even when no fastpath
+    workload re-ran in this session."""
+    return _section_recorder("dist_scale", schema=5)
 
 
 @pytest.fixture
 def record_contracts():
     """Upsert the contracts-overhead measurement into BENCH_FASTPATH.json
-    under a top-level ``"contracts"`` key (coexists with the fastpath
-    and telemetry recorders exactly like :func:`record_telemetry`)."""
-
-    def _record(entry: dict) -> None:
-        data: dict = {}
-        if BENCH_FASTPATH_PATH.exists():
-            try:
-                data = json.loads(BENCH_FASTPATH_PATH.read_text())
-            except json.JSONDecodeError:
-                data = {}
-        if not isinstance(data, dict):
-            data = {}
-        data["contracts"] = entry
-        BENCH_FASTPATH_PATH.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n"
-        )
-
-    return _record
+    under a top-level ``"contracts"`` key."""
+    return _section_recorder("contracts")
 
 
 @pytest.fixture

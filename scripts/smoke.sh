@@ -7,8 +7,8 @@
 # fast path, mega-batched fast path) and byte-compares the canonical
 # summaries; a large-n leg (n = 16/20/24, where the batched kernel's
 # NumPy merge gathers only the PT senders and its closure squares each
-# distinct graph once) byte-compares the batched and vectorized
-# summaries; the batched backend's journal bytes are
+# distinct graph once) byte-compares the batched summary, contracts
+# armed, with the vectorized one; the batched backend's journal bytes are
 # additionally checked to be independent of the jobs count / batch
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
@@ -78,21 +78,31 @@ echo "reference, vectorized and batched summaries byte-identical: OK"
 
 echo
 echo "== large-n leg: gather merge + distinct-graph closure (batched) vs dense merge + plain closure (vectorized) =="
-# From n = 16 the batched kernel merges only each owner's PT senders and
-# closes each distinct approximation graph once; the single-lane
-# vectorized kernel keeps the dense merge and the plain closure, so
-# equal summaries byte-compare both pairs end to end (9 scenarios,
-# n = 16, 20 and 24; n = 16 is the narrowest width that takes them).
+# From n = 16 the batched kernel merges only each owner's PT senders,
+# closes each distinct approximation graph once and runs int16 labels;
+# the single-lane vectorized kernel keeps the dense merge, the plain
+# closure and int32 labels, so equal summaries byte-compare all three
+# pairs end to end (9 scenarios, n = 16, 20 and 24; n = 16 is the
+# narrowest width that takes them).  The batched run has its contracts
+# armed, the label-window check among them, and its sidecar must show
+# that check ran.
 large_grid=(-n 16 20 24 -k 3 --seeds 1 --noise 0.3 --no-progress)
 python -m repro campaign run --store "$workdir/journal_large_vec.jsonl" \
     --backend vectorized --summary "$workdir/summary_large_vec.jsonl" \
     "${large_grid[@]}" > /dev/null
 python -m repro campaign run --store "$workdir/journal_large_bat.jsonl" \
     --backend batched --summary "$workdir/summary_large_bat.jsonl" \
-    "${large_grid[@]}" > /dev/null
+    --contracts --metrics "${large_grid[@]}" > /dev/null
 test "$(wc -l < "$workdir/summary_large_bat.jsonl")" -eq 9
 cmp "$workdir/summary_large_vec.jsonl" "$workdir/summary_large_bat.jsonl"
-echo "large-n vectorized and batched summaries byte-identical: OK"
+python - "$workdir/journal_large_bat.jsonl.metrics.json" <<'PY'
+import sys
+from repro.engine.telemetry import read_sidecar
+
+vol = read_sidecar(sys.argv[1])["volatile"]["counters"]
+assert vol.get("contracts.kernel.label_window", 0) > 0, vol
+PY
+echo "large-n vectorized and batched summaries byte-identical, label window checked: OK"
 
 echo
 echo "== mega-batch partition invariance: --jobs 2 journal bytes =="

@@ -6,7 +6,8 @@ start)``, the batch scheduler's plan is a pure function of the work
 list, a compacted batch lane is bit-identical to a singleton run, a
 fast-forwarded lane to its round-by-round run, canonical summaries are
 backend-free, and the telemetry recorder's deterministic plane merges
-commutatively.  Historically those are
+commutatively.  One paper invariant joins them: the batched kernel's
+labels stay inside Observation 1's window.  Historically those are
 enforced only by fixed test suites; this module makes them *runtime
 checkable* so a fuzz campaign (or any paranoid production run) can
 validate them against live workloads.
@@ -28,7 +29,8 @@ Design mirrors :mod:`repro.engine.telemetry` exactly:
   loudly instead of becoming an ``"error"`` journal record.
 
 Checks that re-run work (block re-fetch, re-plan, singleton lane
-re-execution, the round-by-round re-run of a fast-forwarded lane) are
+re-execution, the round-by-round re-run of a fast-forwarded lane) or
+scan a kernel tensor (the label window) are
 *sampled* through :meth:`Contracts.sample` so the contracts-on overhead
 stays bounded; the first occurrence of every checkpoint is always
 validated.  Each process counts the checks it ran per contract
@@ -139,6 +141,10 @@ class NullContracts:
         pass
 
     def check_fast_forward(self, rerun, run, context=None) -> None:
+        pass
+
+    def check_label_window(self, labels, clock, window, budget, live,
+                           context=None) -> None:
         pass
 
 
@@ -393,6 +399,44 @@ class Contracts:
                     f"the round-by-round run",
                     context or {},
                 )
+
+    def check_label_window(
+        self,
+        labels: np.ndarray,
+        clock: np.ndarray,
+        window: np.ndarray,
+        budget: int,
+        live: np.ndarray,
+        context: dict | None = None,
+    ) -> None:
+        """Algorithm 1's label window (the paper's Observation 1): at
+        the end of its local round ``r``, every nonzero label ``l`` of a
+        live lane satisfies ``max(r - window, 0) < l <= r``, and ``r``
+        is within ``budget``, the largest round budget of the batch.
+        The batched kernel's label dtype is picked from ``budget``, so
+        this is what makes int16 labels exact.  ``labels`` is the
+        ``(S, n, n, n)`` tensor after the purge, ``clock``, ``window``
+        and ``live`` are per lane."""
+        self._checked("kernel.label_window")
+        lanes = np.nonzero(live)[0]
+        if not lanes.size:
+            return
+        rows = labels[lanes].reshape(lanes.size, -1)
+        now = np.asarray(clock)[lanes]
+        floor = np.maximum(now - np.asarray(window)[lanes], 0)
+        high = rows.max(axis=1)
+        low = np.where(rows != 0, rows, np.iinfo(rows.dtype).max).min(axis=1)
+        bad = (high > now) | (low <= floor) | (now > budget)
+        if bad.any():
+            i = int(np.argmax(bad))
+            s, r = int(lanes[i]), int(now[i])
+            self._raise(
+                "kernel.label_window",
+                f"lane {s} at round {r} holds labels outside the window "
+                f"({int(floor[i])}, {r}] of budget {budget} "
+                f"(nonzero labels span {int(low[i])}..{int(high[i])})",
+                {"lane": s, "round": r, **(context or {})},
+            )
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ its time in two places:
   max-reduces them, so its cost scales with about ``nnz(PT)·n²``
   instead of ``S·n⁴``; below ``n = 16`` it keeps the fused
   ``np.maximum.reduce(where=...)``, which measures faster there.  The
-  two are bit-identical: an int32 max is exact and order-independent.
+  two are bit-identical: an integer max is exact and order-independent,
+  at either label dtype (int16 or int32, see
+  :meth:`KernelNamespace.masked_sender_max`).
 * the transitive closure that tests the approximated stable skeleton
   (:meth:`KernelNamespace.batched_closure`), fixed-iteration BLAS
   squaring over the ``S·n`` approximation graphs at once.  From
@@ -51,7 +53,8 @@ from repro.graphs import matrices
 _GATHER_MIN_N = 16
 # Cap on one gather block of owners x max|PT_p| label rows (fastest of
 # 128 KiB..2 MiB on the same batches); a block is also never more than
-# one label tensor.
+# one label tensor.  The cap is in bytes, so an int16 block holds twice
+# the owners of an int32 one.
 _GATHER_BLOCK_BYTES = 256 * 1024
 
 
@@ -113,8 +116,10 @@ class KernelNamespace:
         """Lines 14-23 of Algorithm 1, batched: per-owner max over the
         labels of the senders in ``PT_p``.
 
-        ``labels`` is ``(S, n, n, n)`` int32, ``pt`` is ``(S, n, n)``
-        bool; the result is written into and returned as ``out``.  From
+        ``labels`` is ``(S, n, n, n)`` int16 or int32 (the batched
+        kernel runs int16 whenever every round budget of the batch fits
+        in it), ``pt`` is ``(S, n, n)`` bool; the result is written into
+        and returned as ``out``, in the same dtype.  From
         ``n = 16`` up it gathers the ``PT_p`` senders' label rows and
         max-reduces them (:func:`_gather_sender_max`), work proportional
         to ``nnz(PT)·n²``; below ``n = 16`` it keeps the fused

@@ -447,19 +447,22 @@ class FastPathTask:
 def lane_bytes(n: int, max_rounds: int) -> int:
     """Working-set bytes one lane of width ``n`` pins in a mega-batch:
     its slice of the ``(S, R, n, n)`` schedule, the two ``(S, n, n, n)``
-    int32 label tensors, the ``(S·n, n, n)`` float32 closure and its
-    squaring buffer, and the presence mask.  Under cross-``n`` packing
-    ``n`` must be the *padded* batch width — a packed lane occupies the
-    widest lane's slice regardless of its own nominal ``n`` (the
-    scheduler's ``estimate_batch_bytes`` builds on this).  The sender-max
-    merge's gather block (at most one int32 label tensor) needs no term
-    of its own: it is live only during the merge, when the float32
-    closure buffers are not allocated."""
+    label tensors, the ``(S·n, n, n)`` float32 closure and its squaring
+    buffer, and the presence mask.  The label term is sized at int32 on
+    purpose: that is the dtype of a batch whose largest budget does not
+    fit in int16, so the envelope holds for every batch, and the
+    planner's batches do not depend on the dtype.  Under cross-``n``
+    packing ``n`` must be the *padded* batch width — a packed lane
+    occupies the widest lane's slice regardless of its own nominal
+    ``n`` (the scheduler's ``estimate_batch_bytes`` builds on this).
+    The sender-max merge's gather block (at most one label tensor)
+    needs no term of its own: it is live only during the merge, when
+    the float32 closure buffers are not allocated."""
     if n < 1 or max_rounds < 1:
         raise ValueError("need n >= 1 and max_rounds >= 1")
     return (
         max_rounds * n * n  # schedule prefix (bool)
-        + 2 * 4 * n**3  # labels + new_labels (int32)
+        + 2 * 4 * n**3  # labels + new_labels (int32, the worst case)
         + 2 * 4 * n**3  # closure + squaring buffer (float32)
         + n**3  # presence mask (bool)
     )
@@ -536,6 +539,14 @@ def simulate_fastpath_batch(
     The two heavy operations of each round, the sender-max merge and
     the batched closure, run through
     :data:`~repro.rounds.array_backend.KERNEL`.
+
+    Labels are round numbers, and a lane's labels never exceed its
+    round budget (every present label lies in ``(r - window, r]``, the
+    paper's Observation 1, which the sampled ``kernel.label_window``
+    contract checks).  So the label tensors are int16 whenever the
+    largest budget of the batch fits in int16, and int32 otherwise;
+    the label passes then stream half the bytes.
+    :func:`simulate_fastpath` keeps int32 labels.
 
     ``width`` caps the *concurrent* lane count: the first ``width`` tasks
     are admitted up front and the rest queue, refilling freed width as
@@ -623,6 +634,13 @@ def simulate_fastpath_batch(
     # The batch runs at the widest lane's width; narrower lanes are
     # padded up to it and masked (cross-n packing).
     n = int(t_n.max())
+    # No label exceeds its lane's budget (the clock below is clamped at
+    # it), so int16 holds every label whenever the largest budget fits.
+    budget = int(t_mr.max())
+    label_dtype = (
+        np.int16 if budget <= np.iinfo(np.int16).max else np.int32
+    )
+    contracts = _get_contracts()
 
     width_limit = T if width is None else max(1, int(width))
     idx = np.arange(n)
@@ -663,7 +681,7 @@ def simulate_fastpath_batch(
     schedule = np.zeros((S, int(mr.max()), n, n), dtype=bool)
     pt = np.ones((S, n, n), dtype=bool)
     est = stack_est(range(S))
-    labels = np.zeros((S, n, n, n), dtype=np.int32)
+    labels = np.zeros((S, n, n, n), dtype=label_dtype)
     nodes = np.broadcast_to(eye, (S, n, n)).copy()
     decided = np.zeros((S, n), dtype=bool)
     dec_round = np.zeros((S, n), dtype=np.int64)
@@ -682,7 +700,6 @@ def simulate_fastpath_batch(
     # case for homogeneous batches, kept allocation-free.
     has_offsets = False
     # Lane-composition invariants, recomputed only when lanes change.
-    prune_all = bool(prune.all())
     prune_any = bool(prune.any())
     lane_ok = idx[None, :] < ln[:, None]  # (S, n): real owner slots
     has_padding = bool((ln < n).any())
@@ -720,7 +737,6 @@ def simulate_fastpath_batch(
                 f"schedule provider returned shape {fetched.shape}, "
                 f"expected {(upto - have, lane_n, lane_n)}"
             )
-        contracts = _get_contracts()
         if contracts and contracts.sample("kernel.block_fetch"):
             contracts.check_block_fetch(
                 t_provider[int(origin[s])], upto - have, have + 1, fetched,
@@ -863,11 +879,20 @@ def simulate_fastpath_batch(
         # faster there.
         new_labels = KERNEL.masked_sender_max(labels, pt, new_labels)
         ss, ps, qs = np.nonzero(pt)
-        new_labels[ss, ps, qs, ps] = r_loc[ss]
-        new_nodes = (pt @ nodes) | eye
+        # Retired lanes not yet compacted away run on stale clocks; the
+        # clamp (a no-op for live lanes) keeps their labels in range.
+        clock = np.minimum(r_loc, mr)
+        new_labels[ss, ps, qs, ps] = clock[ss]
+        # Line 18 as a float32 BLAS product: the sums are at most n, so
+        # "> 0" is the exact boolean product.
+        new_nodes = np.matmul(
+            pt.astype(np.float32), nodes.astype(np.float32)
+        ) > 0
+        new_nodes |= eye
 
-        # Line 24: purge, with per-lane windows on per-lane clocks.
-        purge_floor = np.maximum(r_loc - window, 0)
+        # Line 24: purge, with per-lane windows on per-lane clocks.  A
+        # floor in the label dtype keeps the compare from upcasting.
+        purge_floor = np.maximum(clock - window, 0).astype(label_dtype)
         present = new_labels > purge_floor[:, None, None, None]
         new_labels *= present
 
@@ -880,18 +905,17 @@ def simulate_fastpath_batch(
         reaches_owner = (
             np.moveaxis(closure[:, idx, :, idx], 0, 1) & new_nodes
         )
-        if prune_all:
-            new_nodes = reaches_owner
-            new_labels *= (
-                reaches_owner[:, :, :, None] & reaches_owner[:, :, None, :]
+        if prune_any:
+            # Line 25 on the pruning lanes: every node of the others is
+            # kept.
+            kept = reaches_owner | ~prune[:, None, None]
+            new_nodes &= kept
+            new_labels *= kept[..., :, None] & kept[..., None, :]
+        if contracts and contracts.sample("kernel.label_window"):
+            contracts.check_label_window(
+                new_labels, r_loc, window, budget, active,
+                context={"n": n, "kernel": "simulate_fastpath_batch"},
             )
-        elif prune_any:
-            keep = (
-                reaches_owner[:, :, :, None] & reaches_owner[:, :, None, :]
-            )
-            lane = prune[:, None, None]
-            new_nodes = np.where(lane, reaches_owner, new_nodes)
-            new_labels *= np.where(lane[..., None], keep, True)
 
         undecided = ~decided
         # Line 27: min over beginning-of-round estimates of PT_p.
@@ -947,7 +971,6 @@ def simulate_fastpath_batch(
                 rounds_fast_forwarded += int(mr[s] - r_loc[s])
                 harvest(s, int(mr[s]))
                 retire[s] = True
-                contracts = _get_contracts()
                 if contracts and contracts.sample("kernel.fast_forward"):
                     verify_fast_forward(contracts, s)
             pt_edges = edges
@@ -1023,7 +1046,7 @@ def simulate_fastpath_batch(
             pt = np.concatenate([pt, np.ones((take, n, n), dtype=bool)])
             est = np.concatenate([est, stack_est(admitted)])
             labels = np.concatenate(
-                [labels, np.zeros((take, n, n, n), dtype=np.int32)]
+                [labels, np.zeros((take, n, n, n), dtype=label_dtype)]
             )
             nodes = np.concatenate(
                 [nodes, np.broadcast_to(eye, (take, n, n))]
@@ -1047,7 +1070,6 @@ def simulate_fastpath_batch(
         if lanes_changed:
             if new_labels.shape != labels.shape:
                 new_labels = np.empty_like(labels)
-            prune_all = bool(prune.all())
             prune_any = bool(prune.any())
             lane_ok = idx[None, :] < ln[:, None]
             has_padding = bool((ln < n).any())

@@ -2,7 +2,8 @@
 
 The batched kernel's merge and closure are checked against the
 straightforward formulations: the sender-max merge against an explicit
-per-owner loop and against the fused dense reduce, the closure against
+per-owner loop and against the fused dense reduce, at both label
+dtypes (int16 and int32), the closure against
 :func:`repro.graphs.matrices.batched_transitive_closure` on the whole
 stack (from ``n = 16`` the kernel squares only the distinct graphs,
 which a spy on that function shows).  The last
@@ -28,6 +29,9 @@ from repro.rounds.array_backend import (
 from repro.rounds.fastpath import FastPathTask, simulate_fastpath_batch
 
 
+#: The batched kernel's two label dtypes (int16 when every round
+#: budget of a batch fits).
+_LABEL_DTYPES = [np.int16, np.int32]
 # _GATHER_MIN_N - 1 and _GATHER_MIN_N straddle the switch from the
 # plain closure to closing each distinct graph once.
 _CLOSURE_NS = [_GATHER_MIN_N - 1, _GATHER_MIN_N, 17, 32, 48]
@@ -54,16 +58,17 @@ def _closure_stack(n, kind):
 class TestKernelOps:
     """The kernel's merge and closure against the plain formulations."""
 
-    def _pt_labels(self, rng, S=3, n=5):
+    def _pt_labels(self, rng, dtype, S=3, n=5):
         pt = rng.random((S, n, n)) < 0.4
-        labels = rng.integers(0, 7, size=(S, n, n, n)).astype(np.int32)
+        labels = rng.integers(0, 7, size=(S, n, n, n)).astype(dtype)
         return pt, labels
 
-    def test_masked_sender_max(self):
+    @pytest.mark.parametrize("dtype", _LABEL_DTYPES)
+    def test_masked_sender_max(self, dtype):
         rng = np.random.default_rng(7)
-        pt, labels = self._pt_labels(rng)
+        pt, labels = self._pt_labels(rng, dtype)
         S, n = pt.shape[0], pt.shape[1]
-        expected = np.zeros((S, n, n, n), dtype=np.int32)
+        expected = np.zeros((S, n, n, n), dtype=dtype)
         for s in range(S):
             for p in range(n):
                 for q in range(n):
@@ -72,6 +77,7 @@ class TestKernelOps:
                             expected[s, p], labels[s, q]
                         )
         out = KERNEL.masked_sender_max(labels, pt, np.zeros_like(expected))
+        assert out.dtype == dtype
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("n", _CLOSURE_NS)
@@ -134,11 +140,15 @@ class TestSparseSenderMax:
         "n", [4, 12, _GATHER_MIN_N - 1, _GATHER_MIN_N, 17, 32, 48]
     )
     @pytest.mark.parametrize("S", [1, 5, 12])
-    def test_matches_dense_reduce(self, S, n):
+    @pytest.mark.parametrize("dtype", _LABEL_DTYPES)
+    def test_matches_dense_reduce(self, S, n, dtype):
+        # Labels up to the dtype's largest value, which every lane holds.
         rng = np.random.default_rng(1000 * S + n)
+        top = np.iinfo(dtype).max
         labels = rng.integers(
-            0, np.iinfo(np.int32).max, size=(S, n, n, n), dtype=np.int32
+            0, top, size=(S, n, n, n), dtype=dtype, endpoint=True
         )
+        labels[:, -1, -1, -1] = top
         cases = {
             "empty": [0],
             "one": [1],
@@ -155,13 +165,18 @@ class TestSparseSenderMax:
                 assert np.array_equal(out, expected), (name, merge)
 
     @pytest.mark.parametrize("block_owners", [1, 2, 3, 4])
-    def test_gather_blocks_cover_every_owner(self, monkeypatch, block_owners):
+    @pytest.mark.parametrize("dtype", _LABEL_DTYPES)
+    def test_gather_blocks_cover_every_owner(
+        self, monkeypatch, block_owners, dtype
+    ):
         # Shrink the block cap so the 5 x 17 = 85 owners gather in
         # blocks of 1 to 4 owners: every cut but the first leaves a
-        # short last block, and none may drop or repeat an owner.
+        # short last block, and none may drop or repeat an owner.  The
+        # cap is in bytes, so an int16 block holds twice the owners of
+        # an int32 one.
         S, n = 5, 17
         rng = np.random.default_rng(block_owners)
-        labels = rng.integers(0, 1000, size=(S, n, n, n), dtype=np.int32)
+        labels = rng.integers(0, 1000, size=(S, n, n, n), dtype=dtype)
         pt = _pt_with_row_sizes(rng, S, n, [n, 0, 2, 5, 1])
         row_bytes = n * n * n * labels.itemsize  # max |PT_p| = n rows
         monkeypatch.setattr(
@@ -171,14 +186,15 @@ class TestSparseSenderMax:
         _gather_sender_max(labels, pt, out)
         assert np.array_equal(out, _dense_sender_max(labels, pt))
 
-    def test_one_call_stays_within_one_label_tensor(self):
+    @pytest.mark.parametrize("dtype", _LABEL_DTYPES)
+    def test_one_call_stays_within_one_label_tensor(self, dtype):
         # S = 12, n = 32, max |PT_p| = n/2: every temporary the merge
         # allocates, together, fits in one (S, n, n, n) label tensor.
         import tracemalloc
 
         S, n = 12, 32
         rng = np.random.default_rng(5)
-        labels = rng.integers(0, 500, size=(S, n, n, n), dtype=np.int32)
+        labels = rng.integers(0, 500, size=(S, n, n, n), dtype=dtype)
         pt = _pt_with_row_sizes(rng, S, n, [n // 2, 1, 3, 4])
         out = np.empty_like(labels)
         KERNEL.masked_sender_max(labels, pt, out)  # warm one-time caches

@@ -1004,6 +1004,88 @@ class TestWideLaneEquivalence:
             assert _journal(WIDE_GRID, **kwargs) == expected, kwargs
 
 
+# ----------------------------------------------------------------------
+# Label dtype: int16 whenever the batch's largest budget fits
+# ----------------------------------------------------------------------
+@pytest.fixture
+def merged_dtypes(monkeypatch) -> list:
+    """The label dtype of every sender-max merge the batched kernel
+    runs (a spy set on the class, which the kernel calls through)."""
+    from repro.rounds.array_backend import KernelNamespace
+
+    real = KernelNamespace.masked_sender_max
+    dtypes: list = []
+
+    def spy(kernel, labels, pt, out):
+        dtypes.append(labels.dtype)
+        return real(kernel, labels, pt, out)
+
+    monkeypatch.setattr(KernelNamespace, "masked_sender_max", spy)
+    return dtypes
+
+
+def _solo_key(task):
+    return _run_key(simulate_fastpath(
+        task.adjacency, list(task.initial_values),
+        purge_window=task.purge_window,
+        prune_unreachable=task.prune_unreachable,
+        max_rounds=task.max_rounds,
+    ))
+
+
+class TestLabelDtype:
+    """The batched kernel runs int16 labels when every budget of the
+    batch fits in int16 and int32 otherwise; either way each lane
+    equals its single-lane run (which always runs int32)."""
+
+    @pytest.mark.parametrize(
+        "budget, dtype", [(32767, np.int16), (32768, np.int32)]
+    )
+    def test_largest_budget_picks_the_dtype(
+        self, merged_dtypes, budget, dtype
+    ):
+        # Noise-free lanes decide near round n + 2, so only the largest
+        # budget's schedule allocation grows with it.
+        specs = [
+            ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.0)
+            for n, seed in ((5, 0), (6, 1), (6, 2))
+        ]
+        tasks = _tasks(specs)
+        tasks[1] = FastPathTask(
+            adjacency=tasks[1].adjacency,
+            initial_values=tasks[1].initial_values,
+            max_rounds=budget,
+        )
+        runs = simulate_fastpath_batch(tasks)
+        assert set(merged_dtypes) == {np.dtype(dtype)}
+        assert max(r.num_rounds for r in runs) < 20
+        assert [_run_key(r) for r in runs] == [_solo_key(t) for t in tasks]
+
+    def test_mixed_prune_batch_with_late_admission(self, merged_dtypes):
+        # Pruning and no-pruning lanes share each round's folded prune
+        # mask; width 3 of 8 tasks admits lanes late and compacts.
+        from repro.engine.telemetry import Recorder
+
+        specs = [
+            ScenarioSpec(
+                n=n, k=2, num_groups=2, seed=seed, noise=0.35,
+                options=(("prune_unreachable", False),) if seed % 2 else (),
+            )
+            for n in (6, 16)
+            for seed in range(4)
+        ]
+        rec = Recorder()
+        runs = simulate_fastpath_batch(
+            _option_tasks(specs), width=3, recorder=rec
+        )
+        assert set(merged_dtypes) == {np.dtype(np.int16)}
+        assert rec.counter("kernel.lanes_refilled") == len(specs) - 3
+        assert rec.counter("kernel.compactions") > 0
+        assert [_run_key(r) for r in runs] == [
+            _solo_key(t) for t in _option_tasks(specs)
+        ]
+
+
 class TestSkeletonCache:
     """The cross-batch Psrcs/root-component LRU must stay invisible."""
 

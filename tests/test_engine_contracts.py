@@ -51,6 +51,7 @@ def test_null_contracts_is_falsy_and_inert():
     NO_CONTRACTS.check_scenario_id(None)
     NO_CONTRACTS.check_merge_commutative([])
     NO_CONTRACTS.check_fast_forward(None, None)
+    NO_CONTRACTS.check_label_window(None, None, None, 0, None)
 
 
 def test_get_defaults_to_off():
@@ -350,6 +351,127 @@ def test_refused_lane_is_not_rerun():
         assert "kernel.fast_forward" not in active.counts
 
 
+def _window_state():
+    """Two lanes at their local round 10 (window 4, floor 6), n = 2."""
+    labels = np.zeros((2, 2, 2, 2), dtype=np.int16)
+    labels[0, 0, 1, 0] = 10
+    labels[0, 1, 0, 1] = 7
+    labels[1, 1, 1, 1] = 9
+    clock = np.array([10, 10])
+    window = np.array([4, 4])
+    return labels, clock, window, np.ones(2, dtype=bool)
+
+
+def test_check_label_window_pass_and_fail():
+    active = Contracts()
+    labels, clock, window, live = _window_state()
+    active.check_label_window(labels, clock, window, 40, live)
+    for bad_label in (11, 6, -1):  # from the future, purged, negative
+        corrupt = labels.copy()
+        corrupt[1, 0, 0, 1] = bad_label
+        with pytest.raises(ContractViolation) as info:
+            active.check_label_window(
+                corrupt, clock, window, 40, live, context={"n": 2}
+            )
+        assert info.value.contract == "kernel.label_window"
+        assert info.value.repro == {"lane": 1, "round": 10, "n": 2}
+        # A retired lane's labels are not checked.
+        active.check_label_window(
+            corrupt, clock, window, 40, np.array([True, False])
+        )
+    with pytest.raises(ContractViolation, match="budget 9"):
+        active.check_label_window(labels, clock, window, 9, live)
+    assert active.counts == {"kernel.label_window": 8}
+
+
+def _window_batch():
+    """Pruning and no-pruning lanes at n = 6 and 16 (the dense and the
+    gather merge), batched: ``(results, deterministic plane)``."""
+    from repro.engine.telemetry import Recorder
+    from repro.rounds.fastpath import FastPathTask, simulate_fastpath_batch
+
+    tasks = []
+    for n in (6, 16):
+        for seed in range(2):
+            spec = _spec(seed=seed, n=n)
+            tasks.append(
+                FastPathTask(
+                    adjacency=spec.build_adversary().adjacency_stack,
+                    initial_values=tuple(range(n)),
+                    prune_unreachable=seed == 0,
+                    max_rounds=spec.resolved_max_rounds(),
+                )
+            )
+    rec = Recorder()
+    runs = simulate_fastpath_batch(tasks, recorder=rec)
+    keys = [
+        (r.num_rounds, r.decided.tobytes(), r.decision_round.tobytes(),
+         r.decision_value.tobytes(), r.adjacency.tobytes())
+        for r in runs
+    ]
+    return keys, rec.snapshot()["deterministic"]
+
+
+def test_label_window_armed_vs_disabled(monkeypatch):
+    # Off, the check never runs; armed, it runs on sampled rounds and
+    # the results are the same bytes either way.
+    checked = []
+    real = Contracts.check_label_window
+
+    def counted(self, labels, *args, **kwargs):
+        checked.append(labels.dtype)
+        return real(self, labels, *args, **kwargs)
+
+    monkeypatch.setattr(Contracts, "check_label_window", counted)
+    off = _window_batch()
+    assert checked == []
+    with contracts_enabled() as active:
+        on = _window_batch()
+        assert active.counts["kernel.label_window"] == len(checked) > 1
+    assert set(checked) == {np.dtype(np.int16)}
+    assert on == off
+
+
+def test_label_window_run_is_deterministic():
+    # The SHAMS validator idiom: two identical armed runs, r1 == r2,
+    # for the results, the kernel counters and the checks run (each
+    # run under a fresh checker, so both sample the same rounds).
+    with contracts_enabled() as first:
+        r1 = _window_batch()
+    with contracts_enabled() as second:
+        r2 = _window_batch()
+    assert r1 == r2
+    assert first.counts == second.counts
+    assert first.counts["kernel.label_window"] > 0
+
+
+def test_corrupted_label_names_the_lane_and_round(monkeypatch):
+    # A label one round from the future on a no-pruning lane survives
+    # the purge and the prune, so only the window check can see it.
+    from repro.rounds.array_backend import KernelNamespace
+
+    real = KernelNamespace.masked_sender_max
+    rounds = []
+
+    def corrupt(kernel, labels, pt, out):
+        out = real(kernel, labels, pt, out)
+        rounds.append(None)
+        if len(rounds) == 3:
+            out[1, 0, 1, 2] = 4
+        return out
+
+    monkeypatch.setattr(KernelNamespace, "masked_sender_max", corrupt)
+    with contracts_enabled() as active:
+        active.sample_every = 1
+        with pytest.raises(ContractViolation) as info:
+            _window_batch()
+    assert info.value.contract == "kernel.label_window"
+    assert info.value.repro["lane"] == 1
+    assert info.value.repro["round"] == 3
+    assert "window (0, 3]" in info.value.detail
+    assert info.value.detail.endswith("span 1..4)")
+
+
 # ----------------------------------------------------------------------
 # End-to-end: checkpoints wired into the engine
 # ----------------------------------------------------------------------
@@ -515,6 +637,7 @@ def test_cli_contract_checks_reach_the_metrics_sidecar(tmp_path, jobs):
         "adversary.block_fetch_purity",
         "scheduler.plan_determinism",
         "scenarios.id",
+        "kernel.label_window",
     ):
         assert checks.get(name, 0) > 0, (name, checks)
     assert counters["kernel.lanes_fast_forwarded"] == 2
