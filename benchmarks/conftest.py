@@ -22,6 +22,7 @@ so future PRs can track backend speedups without parsing tables.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -167,6 +168,7 @@ def record_fastpath():
     ) -> None:
         import numpy
 
+        data = _load_bench()
         entry = {
             "scenarios": scenarios,
             "reference_s": round(reference_s, 4),
@@ -189,87 +191,76 @@ def record_fastpath():
             )
         if extra:
             entry.update(extra)
+        workloads = data.setdefault("workloads", {})
+        workloads[workload] = entry
+        data.pop("host", None)  # legacy file-level host block
+        data["schema"] = 5
 
-        def update(data: dict) -> None:
-            workloads = data.setdefault("workloads", {})
-            workloads[workload] = entry
-            data.pop("host", None)  # legacy file-level host block
-            data["schema"] = 5
+        def group_values(key: str) -> list:
+            return [
+                g[key]
+                for w in workloads.values()
+                for g in w.get("groups", ())
+                if key in g
+            ]
 
-            def group_values(key: str) -> list:
-                return [
-                    g[key]
-                    for w in workloads.values()
-                    for g in w.get("groups", ())
-                    if key in g
-                ]
-
-            medians = {
-                "median_speedup": [
-                    w["speedup"] for w in workloads.values()
-                ],
-                "median_speedup_batched": [
-                    w["speedup_batched"]
-                    for w in workloads.values()
-                    if "speedup_batched" in w
-                ],
-                "median_batched_vs_vectorized": group_values(
-                    "speedup_vs_vectorized"
-                ),
-                "median_compaction_gain": group_values("compaction_gain"),
-                "median_packing_gain": group_values("packing_gain"),
-            }
-            for key in [k for k in data if k.startswith("median_")]:
-                del data[key]
-            for key, values in medians.items():
-                if values:
-                    data[key] = round(statistics.median(values), 2)
-
-        _upsert_bench(update)
+        medians = {
+            "median_speedup": [w["speedup"] for w in workloads.values()],
+            "median_speedup_batched": [
+                w["speedup_batched"]
+                for w in workloads.values()
+                if "speedup_batched" in w
+            ],
+            "median_batched_vs_vectorized": group_values(
+                "speedup_vs_vectorized"
+            ),
+            "median_compaction_gain": group_values("compaction_gain"),
+            "median_packing_gain": group_values("packing_gain"),
+        }
+        for key in [k for k in data if k.startswith("median_")]:
+            del data[key]
+        for key, values in medians.items():
+            if values:
+                data[key] = round(statistics.median(values), 2)
+        _save_bench(data)
 
     return _record
 
 
-def _upsert_bench(update) -> None:
-    """Read-modify-write BENCH_FASTPATH.json: ``update`` changes the
-    parsed file in place (an empty dict when the file is missing or not
-    a JSON object), and the result is written back with sorted keys.
-    Every recorder goes through here, so each preserves the top-level
-    keys it does not own."""
+def _load_bench() -> dict:
+    """BENCH_FASTPATH.json as a dict (empty when the file is missing or
+    not a JSON object)."""
     data: dict = {}
     if BENCH_FASTPATH_PATH.exists():
         try:
             data = json.loads(BENCH_FASTPATH_PATH.read_text())
         except json.JSONDecodeError:
             data = {}
-    if not isinstance(data, dict):
-        data = {}
-    update(data)
+    return data if isinstance(data, dict) else {}
+
+
+def _save_bench(data: dict) -> None:
     BENCH_FASTPATH_PATH.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n"
     )
 
 
-def _section_recorder(key: str, schema: int | None = None):
-    """A recorder that upserts one entry under the top-level ``key``,
-    stamping ``schema`` as the file's least version when given."""
-
-    def _record(entry: dict) -> None:
-        def update(data: dict) -> None:
-            data[key] = entry
-            if schema is not None:
-                data["schema"] = max(schema, int(data.get("schema", 0)))
-
-        _upsert_bench(update)
-
-    return _record
+def _upsert_section(key: str, entry: dict, schema: int = 0) -> None:
+    """Store ``entry`` under the top-level ``key`` of BENCH_FASTPATH.json,
+    keeping every other key, and raise the file's schema to at least
+    ``schema``."""
+    data = _load_bench()
+    data[key] = entry
+    if schema:
+        data["schema"] = max(schema, int(data.get("schema", 0)))
+    _save_bench(data)
 
 
 @pytest.fixture
 def record_telemetry():
     """Upsert the telemetry-overhead measurement into BENCH_FASTPATH.json
     under a top-level ``"telemetry"`` key."""
-    return _section_recorder("telemetry")
+    return functools.partial(_upsert_section, "telemetry")
 
 
 @pytest.fixture
@@ -278,14 +269,14 @@ def record_dist_scale():
     BENCH_FASTPATH.json under a top-level ``"dist_scale"`` key.  It is a
     schema-5 field, so the version is stamped even when no fastpath
     workload re-ran in this session."""
-    return _section_recorder("dist_scale", schema=5)
+    return functools.partial(_upsert_section, "dist_scale", schema=5)
 
 
 @pytest.fixture
 def record_contracts():
     """Upsert the contracts-overhead measurement into BENCH_FASTPATH.json
     under a top-level ``"contracts"`` key."""
-    return _section_recorder("contracts")
+    return functools.partial(_upsert_section, "contracts")
 
 
 @pytest.fixture

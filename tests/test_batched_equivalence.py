@@ -30,7 +30,10 @@ ways:
   distinct approximation graph once: batched vs vectorized canonical
   lines (the single-lane kernel keeps the dense merge and the plain
   closure, an independent reference) and journal bytes under
-  compaction on/off and a packed 24 -> 32 batch.
+  compaction on/off and a packed 24 -> 32 batch;
+* the **label dtype**: int16 labels while the largest budget of a
+  batch is at most 32,767 and int32 from 32,768, each lane equal to
+  its single-lane run (always int32).
 
 ``scripts/smoke.sh`` additionally byte-compares whole campaign summaries
 produced by the three backends through the CLI on every change.
@@ -944,6 +947,16 @@ def _option_tasks(specs):
     return tasks
 
 
+def _solo_key(task):
+    """The run key of ``task`` run alone through the single-lane kernel."""
+    return _run_key(simulate_fastpath(
+        task.adjacency, list(task.initial_values),
+        purge_window=task.purge_window,
+        prune_unreachable=task.prune_unreachable,
+        max_rounds=task.max_rounds,
+    ))
+
+
 class TestWideLaneEquivalence:
     """The gather merge and the deduplicated closure are byte-identical
     to the single-lane kernel's dense merge and plain closure, under
@@ -978,14 +991,7 @@ class TestWideLaneEquivalence:
 
     def test_packed_kernel_matches_singletons(self):
         specs = [s for s in WIDE_GRID if s.n in (24, 32)]
-        expected = []
-        for task in _option_tasks(specs):
-            expected.append(_run_key(simulate_fastpath(
-                task.adjacency, list(task.initial_values),
-                purge_window=task.purge_window,
-                prune_unreachable=task.prune_unreachable,
-                max_rounds=task.max_rounds,
-            )))
+        expected = [_solo_key(task) for task in _option_tasks(specs)]
         for kwargs in ({}, {"width": 3}, {"width": 3, "compact": False}):
             runs = simulate_fastpath_batch(_option_tasks(specs), **kwargs)
             assert [_run_key(r) for r in runs] == expected, kwargs
@@ -1024,15 +1030,6 @@ def merged_dtypes(monkeypatch) -> list:
     return dtypes
 
 
-def _solo_key(task):
-    return _run_key(simulate_fastpath(
-        task.adjacency, list(task.initial_values),
-        purge_window=task.purge_window,
-        prune_unreachable=task.prune_unreachable,
-        max_rounds=task.max_rounds,
-    ))
-
-
 class TestLabelDtype:
     """The batched kernel runs int16 labels when every budget of the
     batch fits in int16 and int32 otherwise; either way each lane
@@ -1044,8 +1041,8 @@ class TestLabelDtype:
     def test_largest_budget_picks_the_dtype(
         self, merged_dtypes, budget, dtype
     ):
-        # Noise-free lanes decide near round n + 2, so only the largest
-        # budget's schedule allocation grows with it.
+        # Noise-free lanes decide within 20 rounds, so the largest
+        # budget costs only its schedule allocation.
         specs = [
             ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.0)
             for n, seed in ((5, 0), (6, 1), (6, 2))
