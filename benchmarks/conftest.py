@@ -144,10 +144,6 @@ def record_fastpath():
       mega-batching, median across every recorded per-``n`` group (the
       ``groups`` lists inside the workload entries) so small and large
       ``n`` weigh equally;
-    * ``median_compaction_gain`` (schema 3) — the batch scheduler's
-      lane-compaction gain over mask-only batching (the PR-4 kernel
-      behavior), median across every group that records a
-      ``compaction_gain`` (the heterogeneous-latency ensembles);
     * ``median_packing_gain`` (schema 4) — cross-``n`` lane packing
       over the per-``n`` grouping (the PR-5 scheduler behavior), median
       across every group recording a ``packing_gain`` (the mixed-width
@@ -214,7 +210,6 @@ def record_fastpath():
             "median_batched_vs_vectorized": group_values(
                 "speedup_vs_vectorized"
             ),
-            "median_compaction_gain": group_values("compaction_gain"),
             "median_packing_gain": group_values("packing_gain"),
         }
         for key in [k for k in data if k.startswith("median_")]:

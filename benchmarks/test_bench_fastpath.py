@@ -12,10 +12,9 @@ reference and the vectorized baseline) and the per-group breakdown in
 Each group is one seed ensemble (24 seeds — campaign-scale, which is
 what the mega-batched backend exists for: the batch scheduler packs a
 grid's same-``n`` scenarios into one ``(S, n, ...)`` tensor program).
-The HETERO-LAT workload additionally measures the scheduler's lane
-**compaction** gain: heterogeneous-latency ensembles (early-deciding
-lanes mixed with late deciders and full-budget stragglers) timed with
-compaction on vs the mask-only kernel behavior the PR-4 backend had.
+The HETERO-LAT workload times heterogeneous-latency ensembles
+(early-deciding lanes mixed with late deciders and full-budget
+stragglers), the shape that lane compaction and fast-forwarding serve.
 """
 
 from __future__ import annotations
@@ -35,23 +34,13 @@ from repro.engine.store import canonical_line, journal_line
 # the suite; BENCH_FASTPATH.json records the real ratios.
 MIN_SPEEDUP = 2.5  # vectorized (and batched) over reference
 MIN_BATCH_GAIN = 1.2  # batched over vectorized, median across groups
-# Lane compaction over mask-only batching (the PR-4 kernel behavior) on
-# the heterogeneous-latency ensemble, whose tail is the 6n-window late
-# deciders; measured ~1.2-2.6x per group (median 1.50-1.94).  The 6n
-# window was picked for headroom over this gate, not taken from a
-# workload: with a 5n window the median read 1.29-1.93 (see
-# _hetero_latency_specs).  So the gate shows that compaction pays on a
-# grid built to show it, not that a perfbench workload needs it.
-MIN_COMPACTION_GAIN = 1.3
 # The planner's cross-n packing over running each n as its own work
 # list, on sparse mixed-width ensembles; measured ~1.4-1.45x per group.
 MIN_PACKING_GAIN = 1.3
-# Interleaved rounds timing the two sides of one HETERO-LAT or
-# PACKED-MIX group (no A/A pair, so exactly this many).  With two
-# separate best-of-N loops, host drift between the loops went into the
-# ratio of these 30-140 ms walls: one tier-1 run read a median
-# compaction gain of 1.08 where runs of the benchmark alone read
-# 1.47-1.79, and one a packing gain of 1.295 where reruns read
+# Interleaved rounds timing the two sides of one PACKED-MIX group (no
+# A/A pair, so exactly this many).  With two separate best-of-N loops,
+# host drift between the loops went into the ratio of these 30-140 ms
+# walls: one tier-1 run read a packing gain of 1.295 where reruns read
 # 1.45-1.75.
 INTERLEAVED_ROUNDS = 15
 # The schema-3 BENCH_FASTPATH.json floor for median_speedup_batched: the
@@ -206,20 +195,15 @@ def _hetero_latency_specs(n: int, seeds: int) -> list[ScenarioSpec]:
     ablation knobs that stall Algorithm 1 — ``prune_unreachable=False``
     runs to the full ``6n + 20`` budget, a shrunk purge window retires
     earliest, a ``6n`` purge window decides late — while the rest sweep
-    noise and decide at ``~n + 4``.  Mask-only batching pays full kernel
-    width until the last straggler finishes; lane compaction pays
-    per-round for the live lanes only.
+    noise and decide at ``~n + 4``.  Lane compaction keeps the
+    kernel's per-round cost at the live lanes.
 
     The no-prune stragglers stop changing a few rounds past ``n``, so
-    the kernel fast-forwards them to their budget in both modes.  The
-    ``6n`` window lanes are the tail compaction is measured on: a stale
-    label keeps its value until it is purged, so their labels do not
-    all rise by one each round, the kernel refuses to fast-forward them,
-    and they run round by round until they decide, near round ``6n``.
-    The ``6n`` window was picked for headroom over the 1.3 gate.  Timed
-    the same interleaved way on a 2-vCPU Xeon host, a ``5n`` window's
-    median gain read 1.29-1.93 over nine runs, against 1.50-1.94 for
-    ``6n``.
+    the kernel fast-forwards them to their budget.  The ``6n`` window
+    lanes are the tail that fast-forwarding refuses: a stale label keeps
+    its value until it is purged, so their labels do not all rise by one
+    each round, and they run round by round until they decide, near
+    round ``6n``.
     """
     specs = []
     for s in range(seeds):
@@ -254,109 +238,16 @@ def _hetero_latency_specs(n: int, seeds: int) -> list[ScenarioSpec]:
     return specs
 
 
-HETERO_HEADERS = [
-    "group",
-    "scenarios",
-    "ref_ms",
-    "vect_ms",
-    "masked_ms",
-    "batch_ms",
-    "vs_ref",
-    "compaction",
-]
-
-
 def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
-    """HETERO-LAT: the batch scheduler's lane-compaction gain.
-
-    ``compact=False`` reproduces the PR-4 mega-batched backend exactly
-    (retired lanes masked, full width to the last straggler), so the
-    masked-vs-compacted ratio *is* the compaction gain — measured on
-    byte-identical work, asserted equivalent first.
-    """
+    """HETERO-LAT: the three backends on heterogeneous-latency
+    ensembles, canonical lines asserted equal first."""
     groups = [
         (f"n={n}", _hetero_latency_specs(n, SEEDS)) for n in (9, 12, 16)
     ]
-
-    def _run():
-        rows, entries = [], []
-        total_ref = total_vect = total_masked = total_batch = total_n = 0
-        for label, specs in groups:
-            reference = execute_scenarios(specs, backend="reference")
-            vectorized = execute_scenarios(specs, backend="vectorized")
-            masked = execute_scenarios(
-                specs, backend="batched", compact=False
-            )
-            compacted = execute_scenarios(specs, backend="batched")
-            lines = [canonical_line(r) for r in reference]
-            assert lines == [canonical_line(r) for r in vectorized]
-            assert lines == [canonical_line(r) for r in masked]
-            assert lines == [canonical_line(r) for r in compacted]
-            ref_s = _best_of(
-                lambda: execute_scenarios(specs, backend="reference")
-            )
-            vect_s = _best_of(
-                lambda: execute_scenarios(specs, backend="vectorized")
-            )
-            (masked_s, batch_s), _ = interleaved_best(
-                [
-                    lambda: execute_scenarios(
-                        specs, backend="batched", compact=False
-                    ),
-                    lambda: execute_scenarios(specs, backend="batched"),
-                ],
-                pairs=[],
-                min_repeats=INTERLEAVED_ROUNDS,
-            )
-            rows.append(
-                [
-                    label,
-                    len(specs),
-                    round(ref_s * 1e3, 1),
-                    round(vect_s * 1e3, 1),
-                    round(masked_s * 1e3, 1),
-                    round(batch_s * 1e3, 1),
-                    round(ref_s / batch_s, 1),
-                    round(masked_s / batch_s, 2),
-                ]
-            )
-            entries.append(
-                {
-                    "group": label,
-                    "scenarios": len(specs),
-                    "reference_s": round(ref_s, 4),
-                    "vectorized_s": round(vect_s, 4),
-                    "batched_masked_s": round(masked_s, 4),
-                    "batched_s": round(batch_s, 4),
-                    "speedup_vs_reference": round(ref_s / batch_s, 2),
-                    "speedup_vs_vectorized": round(vect_s / batch_s, 2),
-                    "compaction_gain": round(masked_s / batch_s, 2),
-                }
-            )
-            total_ref += ref_s
-            total_vect += vect_s
-            total_masked += masked_s
-            total_batch += batch_s
-            total_n += len(specs)
-        rows.append(
-            [
-                "total",
-                total_n,
-                round(total_ref * 1e3, 1),
-                round(total_vect * 1e3, 1),
-                round(total_masked * 1e3, 1),
-                round(total_batch * 1e3, 1),
-                round(total_ref / total_batch, 1),
-                round(total_masked / total_batch, 2),
-            ]
-        )
-        totals = (total_ref, total_vect, total_masked, total_batch, total_n)
-        return rows, entries, totals
-
-    rows, entries, totals = benchmark.pedantic(_run, rounds=1, iterations=1)
-    total_ref, total_vect, total_masked, total_batch, total_n = totals
-    median_gain = statistics.median(g["compaction_gain"] for g in entries)
-    assert median_gain >= MIN_COMPACTION_GAIN
+    rows, entries, totals = benchmark.pedantic(
+        lambda: _compare_groups(groups), rounds=1, iterations=1
+    )
+    total_ref, total_vect, total_batch, total_n = totals
     assert total_ref / total_batch >= MIN_SPEEDUP
     record_fastpath(
         "HETERO-LAT",
@@ -369,19 +260,15 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
             "(3/6 noise-sweep + 1/6 shrunk-window + 1/6 6n-window late "
             "deciders + 1/6 no-pruning full-budget stragglers, "
             "fast-forwarded)",
-            "batched_masked_s": round(total_masked, 4),
-            "compaction_gain": round(total_masked / total_batch, 2),
-            "compaction_baseline": "batched with compact=False "
-            "(mask-only, the PR-4 kernel behavior)",
             "groups": entries,
         },
     )
     emit(
         format_table(
-            HETERO_HEADERS,
+            HEADERS,
             rows,
-            title="FASTPATH-HETERO — lane compaction vs mask-only "
-            "mega-batching on heterogeneous-latency ensembles "
+            title="FASTPATH-HETERO — mega-batched vs vectorized vs "
+            "reference backend on heterogeneous-latency ensembles "
             "(identical metrics asserted first)",
         )
     )

@@ -60,20 +60,20 @@ class TestRecordFastpath:
         record_fastpath(
             "hetero", 8.0, 2.0, 8,
             extra={"groups": [
-                {"n": 6, "compaction_gain": 1.2},
-                {"n": 7, "compaction_gain": 1.6},
+                {"n": 6, "speedup_vs_vectorized": 1.2},
+                {"n": 7, "speedup_vs_vectorized": 1.6},
             ]},
         )
         data = _read(bench_file)
         assert data["median_packing_gain"] == 1.5
-        assert data["median_compaction_gain"] == 1.4
+        assert data["median_batched_vs_vectorized"] == 1.4
         assert data["median_speedup"] == 3.5
         # Re-recording the packing workload without its gain retires
         # the median it alone fed.
         record_fastpath("mixed", 3.0, 1.0, 8)
         data = _read(bench_file)
         assert "median_packing_gain" not in data
-        assert data["median_compaction_gain"] == 1.4
+        assert data["median_batched_vs_vectorized"] == 1.4
 
     def test_batched_columns_and_their_median(
         self, record_fastpath, bench_file

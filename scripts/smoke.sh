@@ -205,16 +205,26 @@ echo "== batch scheduler: heterogeneous-latency leg (--jobs 2) vs serial referen
 # A noise×n LATENCY-DIST grid is exactly the interleaved-heterogeneous
 # shape the scheduler plans into packed, lane-compacting batches; a
 # parallel auto run must byte-match the serial reference-backend
-# summary (and an absurdly small --batch-memory envelope must too).
+# summary (and an absurdly small --batch-memory envelope must too), and
+# its merged sidecar must show the kernel compacting lanes.
 het_args=(--family latency -n 5 6 --seeds 2 --noise 0.0 0.4)
 python -m repro campaign run "${het_args[@]}" --backend reference \
     --store "$workdir/het_ref.jsonl" \
     --summary "$workdir/het_ref_summary.jsonl" > /dev/null
 python -m repro campaign run "${het_args[@]}" --backend auto --jobs 2 \
-    --batch-memory 64 --store "$workdir/het_sched.jsonl" \
+    --batch-memory 64 --metrics --no-progress \
+    --store "$workdir/het_sched.jsonl" \
     --summary "$workdir/het_sched_summary.jsonl" > /dev/null
 cmp "$workdir/het_ref_summary.jsonl" "$workdir/het_sched_summary.jsonl"
 echo "scheduler-planned parallel run byte-matches serial reference: OK"
+python - "$workdir/het_sched.jsonl.metrics.json" <<'PY'
+import sys
+from repro.engine.telemetry import read_sidecar
+
+vol = read_sidecar(sys.argv[1])["volatile"]["counters"]
+assert vol.get("kernel.compactions", 0) > 0, vol
+print("kernel compacted lanes: OK")
+PY
 
 echo
 echo "== cross-n packing: mixed-n leg (--jobs 4) =="

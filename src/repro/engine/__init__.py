@@ -43,7 +43,7 @@ fleet-scale workload generator:
 * :mod:`repro.engine.telemetry` — **engine telemetry**: a zero-cost-off
   :class:`Recorder` (counters, gauges, histograms, span timers) threaded
   through scheduler, executor, backends, kernels and store, split into a
-  *deterministic* plane (invariant across ``--jobs``/shuffle/compaction)
+  *deterministic* plane (invariant across ``--jobs``/shuffle/width)
   and a *volatile* plane (durations, batch shapes, worker profiles), and
   written as a schema-versioned ``<store>.metrics.json`` sidecar via
   ``campaign run --metrics``.

@@ -340,7 +340,7 @@ def execute_scenario_vectorized(
     # One result per spec, in spec order, whatever fell back or failed.
     # (Mixed-n batches are legal since cross-n packing: the kernel pads
     # narrower lanes to the widest member and masks the padding.)
-    post=lambda result, specs, width=None, compact=True, recorder=None: (
+    post=lambda result, specs, width=None, recorder=None: (
         len(result) == len(specs)
         and all(r.spec == s for r, s in zip(result, specs))
     ),
@@ -348,7 +348,6 @@ def execute_scenario_vectorized(
 def execute_scenario_batch(
     specs: Sequence[ScenarioSpec],
     width: int | None = None,
-    compact: bool = True,
     recorder=None,
 ) -> list[ScenarioResult]:
     """Run a group of scenarios through one mega-batched kernel.
@@ -361,9 +360,9 @@ def execute_scenario_batch(
     share ``n``: a packed (mixed-``n``) group runs at the widest
     member's width with the padding masked by the kernel.  ``width`` caps
     the kernel's concurrent lanes (the scheduler passes the memory
-    envelope; surplus lanes refill freed width as batchmates retire)
-    and ``compact`` toggles live-lane compaction — both are pure
-    execution-shape knobs: results are bit-identical either way.
+    envelope; surplus lanes refill freed width as batchmates retire);
+    it is a pure execution-shape knob: results are bit-identical
+    whatever its value.
     Isolation mirrors the per-scenario backends:
 
     * a spec the fast path cannot cover, or whose adversary construction
@@ -401,12 +400,11 @@ def execute_scenario_batch(
     if lanes:
         try:
             runs = simulate_fastpath_batch(
-                tasks, width=width, compact=compact, recorder=recorder
+                tasks, width=width, recorder=recorder
             )
         except ContractViolation as exc:
             raise exc.with_context(
                 backend=BACKEND_BATCHED, lanes=len(lanes), width=width,
-                compact=compact,
             ) from exc
         except Exception as exc:  # noqa: BLE001 — isolate, then retry solo
             if len(lanes) == 1:
@@ -435,9 +433,7 @@ def execute_scenario_batch(
                 and len(lanes) > 1
                 and contracts.sample("backends.lane_identity")
             ):
-                _verify_lane_identity(
-                    contracts, lanes, runs, width=width, compact=compact
-                )
+                _verify_lane_identity(contracts, lanes, runs, width=width)
             cache = skeleton_cache
             hits0, misses0 = cache.hits, cache.misses
             for (pos, spec, adversary, builder), fast in zip(lanes, runs):
@@ -474,9 +470,7 @@ def execute_scenario_batch(
     return [results[pos] for pos in range(len(specs))]
 
 
-def _verify_lane_identity(
-    contracts, lanes, runs, width, compact
-) -> None:
+def _verify_lane_identity(contracts, lanes, runs, width) -> None:
     """Lane-compaction identity checkpoint: re-run one deterministically
     sampled lane of a just-finished mega-batch as a *singleton* kernel
     call (fresh adversary, so the pure schedule re-derives) and demand
@@ -514,7 +508,6 @@ def _verify_lane_identity(
             "lane": lane,
             "lanes": len(lanes),
             "width": width,
-            "compact": compact,
         },
     )
 

@@ -226,7 +226,7 @@ def _run_one(
     return execute_scenario_with_backend(spec, backend, recorder=recorder)
 
 
-def _iter_unit(unit, backend: str, compact: bool = True,
+def _iter_unit(unit, backend: str,
                recorder=None) -> Iterator[tuple[int, ScenarioResult]]:
     """Run one dispatch unit in this process, yielding ``(index,
     result)`` in plan order: a whole planned batch (so chunking can
@@ -239,16 +239,13 @@ def _iter_unit(unit, backend: str, compact: bool = True,
 
         for _idx, spec in unit.items:
             _faults.before_scenario(spec)
-        yield from run_planned_batch(
-            unit.batch, backend, compact=compact, recorder=recorder
-        )
+        yield from run_planned_batch(unit.batch, backend, recorder=recorder)
         return
     for idx, spec in unit.items:
         yield idx, _run_one(spec, backend, recorder=recorder)
 
 
-def _execute_unit(unit, backend: str, compact: bool = True,
-                  collect: bool = False) -> tuple:
+def _execute_unit(unit, backend: str, collect: bool = False) -> tuple:
     """Worker entry point (a pool process or a fleet worker): run one
     dispatch unit through :func:`_iter_unit`.
 
@@ -260,7 +257,7 @@ def _execute_unit(unit, backend: str, compact: bool = True,
     recorder = Recorder() if collect else None
     mark = checks_mark() if collect else None
     t0 = time.perf_counter()
-    pairs = list(_iter_unit(unit, backend, compact, recorder))
+    pairs = list(_iter_unit(unit, backend, recorder))
     if recorder is None or _faults.drop_worker_meta(unit.items):
         return pairs, None
     record_checks(recorder, mark)
@@ -461,11 +458,10 @@ class _PoolWorker:
     alive = True
 
     def __init__(self, pool: WorkerPool, index: int, backend: str,
-                 compact: bool, collect: bool) -> None:
+                 collect: bool) -> None:
         self.pool = pool
         self.index = index
         self.backend = backend
-        self.compact = compact
         self.collect = collect
 
     def submit(self, attempt) -> None:
@@ -473,8 +469,7 @@ class _PoolWorker:
             attempt.handle = self.pool.submit(
                 self.index,
                 lambda future, running: _settled(attempt, future, running),
-                _execute_unit, attempt.unit, self.backend, self.compact,
-                self.collect,
+                _execute_unit, attempt.unit, self.backend, self.collect,
             )
         except RuntimeError as exc:
             raise ExecutionStopped(str(exc)) from exc
@@ -497,7 +492,6 @@ def execute_scenarios(
     on_result: Callable[[ScenarioResult], Any] | None = None,
     backend: str = "reference",
     batch_memory: int | None = None,
-    compact: bool = True,
     plan=None,
     recorder=None,
     max_retries: int = 0,
@@ -538,10 +532,6 @@ def execute_scenarios(
         Per-batch memory envelope in bytes for the batched/auto
         backends (``None``: the built-in budget) — a pure packing knob,
         results and journal bytes are identical whatever the envelope.
-    compact:
-        Whether the batch kernel compacts live lanes as batchmates
-        retire (diagnostic toggle for the differential suite and the
-        fast-path benchmark; results are bit-identical either way).
     plan:
         A precomputed :class:`~repro.engine.scheduler.BatchPlan` for
         exactly this work list (the campaign layer passes the plan its
@@ -596,7 +586,7 @@ def execute_scenarios(
         # order (they journal in plan order).
         results: list = [None] * len(spec_list)
         for unit in units:
-            for idx, result in _iter_unit(unit, backend, compact, recorder):
+            for idx, result in _iter_unit(unit, backend, recorder):
                 if recorder:
                     _count_result(recorder, result)
                 if on_result is not None:
@@ -613,7 +603,7 @@ def execute_scenarios(
     dispatcher = Dispatcher(
         units,
         [
-            _PoolWorker(pool, index, backend, compact, bool(recorder))
+            _PoolWorker(pool, index, backend, bool(recorder))
             for index in range(pool.workers)
         ],
         backend=backend,

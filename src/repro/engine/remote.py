@@ -285,7 +285,6 @@ def _run_unit(msg: dict, collect: bool) -> dict:
         pairs, meta = _execute_unit(
             Unit(msg.get("kind", "chunk"), items, batch, unit_id),
             msg.get("backend", "batched"),
-            bool(msg.get("compact", True)),
             collect,
         )
     except ContractViolation as exc:
@@ -509,12 +508,11 @@ class _Link:
     loss_is_terminal = False
 
     def __init__(self, endpoint: WorkerEndpoint, setup: dict, backend: str,
-                 compact: bool, timeout: float) -> None:
+                 timeout: float) -> None:
         """Open the connection, read the worker's hello, send ``setup``
         and start the reader thread."""
         self.endpoint = endpoint
         self.backend = backend
-        self.compact = compact
         self.alive = True
         self.inflight: Attempt | None = None
         self.sock = endpoint.establish(timeout)
@@ -604,7 +602,7 @@ class _Link:
     def submit(self, attempt: Attempt) -> None:
         self.inflight = attempt
         try:
-            self.send(_unit_msg(attempt.unit, self.backend, self.compact))
+            self.send(_unit_msg(attempt.unit, self.backend))
         except (OSError, ValueError) as exc:
             self.inflight = None
             self.close()
@@ -639,14 +637,13 @@ class _Link:
             pass
 
 
-def _unit_msg(unit: Unit, backend: str, compact: bool) -> dict:
+def _unit_msg(unit: Unit, backend: str) -> dict:
     msg = {
         "type": "unit",
         "kind": unit.kind,
         "id": unit.id,
         "items": _encode_items(unit.items),
         "backend": backend,
-        "compact": compact,
     }
     if unit.batch is not None:
         msg.update(n=unit.batch.n, bucket=unit.batch.bucket,
@@ -662,7 +659,6 @@ def execute_remote(
     on_result: Callable[[ScenarioResult], Any] | None = None,
     backend: str = "batched",
     batch_memory: int | None = None,
-    compact: bool = True,
     plan=None,
     recorder=None,
     max_retries: int = 0,
@@ -698,7 +694,7 @@ def execute_remote(
     try:
         for endpoint in endpoints:
             links.append(
-                _Link(endpoint, setup, backend, compact, connect_timeout)
+                _Link(endpoint, setup, backend, connect_timeout)
             )
     except BaseException:
         for link in links:

@@ -24,10 +24,11 @@ execution:
   work list (and the envelope), so the plan — and therefore every
   journal record — is independent of worker count and chunking.
 * :func:`run_planned_batch` executes one planned batch through the
-  mega-batched kernel with lane **compaction** on (retired lanes are
-  compressed out and freed width is refilled from the batch's pending
-  lanes — see :func:`~repro.rounds.fastpath.simulate_fastpath_batch`),
-  preserving the ``auto`` backend's transparent per-lane fallback.
+  mega-batched kernel, which always compacts its lanes (retired lanes
+  are compressed out and freed width is refilled from the batch's
+  pending lanes — see
+  :func:`~repro.rounds.fastpath.simulate_fastpath_batch`), preserving
+  the ``auto`` backend's transparent per-lane fallback.
 * the executor runs whole planned batches as dispatch units, serially
   or on pool workers (:func:`repro.engine.executor.execute_scenarios`),
   so pool chunking can no longer break batches.
@@ -35,8 +36,8 @@ execution:
 Every mapping back to journal order is by work-list index: results are
 re-sorted into grid order by the executor and journal record *bytes* are
 a pure function of the spec, so store bytes are invariant under batch
-partitioning, compaction on/off and ``--jobs`` (the differential suite
-pins this).
+partitioning, kernel width and ``--jobs`` (the differential suite pins
+this).
 
 :class:`ProgressReporter` is the campaign-progress face of the plan:
 ``campaign run`` derives completed/total, scenarios/s, batches
@@ -302,27 +303,27 @@ def plan_batches(
 
 
 @contract(
-    post=lambda result, batch, backend, compact=True, recorder=None: (
+    post=lambda result, batch, backend, recorder=None: (
         [idx for idx, _ in result] == [idx for idx, _ in batch.items]
     )
 )
 def run_planned_batch(
-    batch: PlannedBatch, backend: str, compact: bool = True, recorder=None
+    batch: PlannedBatch, backend: str, recorder=None
 ) -> list[tuple[int, ScenarioResult]]:
     """Execute one planned batch; returns ``(work-list index, result)``.
 
-    The kernel runs ``batch.width`` concurrent lanes with compaction on,
-    refilling freed width from the batch's own pending lanes.  Under
-    ``"auto"`` a lane the fast path turns out not to cover re-runs
-    through the per-scenario ``auto`` dispatch (and thus the reference
-    simulator) instead of surfacing a forced-backend error, exactly as
-    the pre-scheduler segmentation did.
+    The kernel runs ``batch.width`` concurrent lanes, refilling freed
+    width from the batch's own pending lanes.  Under ``"auto"`` a lane
+    the fast path turns out not to cover re-runs through the
+    per-scenario ``auto`` dispatch (and thus the reference simulator)
+    instead of surfacing a forced-backend error, exactly as the
+    pre-scheduler segmentation did.
     """
     from repro.engine.executor import STATUS_ERROR, _run_one
 
     specs = [spec for _, spec in batch.items]
     results = execute_scenario_batch(
-        specs, width=batch.width, compact=compact, recorder=recorder
+        specs, width=batch.width, recorder=recorder
     )
     if backend == BACKEND_AUTO:
         results = [

@@ -15,8 +15,8 @@ Metrics live on two planes, and the distinction is load-bearing:
     cross-``n`` packing accounting — ``scheduler.padded_lane_width``,
     ``scheduler.wasted_pad_cells``), result counts, journal bytes.
     These are **invariant** across ``--jobs``, ``--workers``, batch
-    shuffle and compaction on/off — the same contract the journal
-    obeys — and the test suite pins that invariance.
+    shuffle and kernel width — the same contract the journal obeys —
+    and the test suite pins that invariance.
 
 ``volatile``
     Execution-shape metrics: wall-clock durations, batch cuts after

@@ -7,7 +7,7 @@ execution engine the repo ships:
 * the reference :class:`~repro.rounds.simulator.RoundSimulator`,
 * the per-scenario vectorized fast path, and
 * the mega-batched kernel, both alone and stacked with same-``n``
-  sibling scenarios, across sampled ``(width, compact)`` configurations.
+  sibling scenarios, across sampled kernel ``width`` caps.
 
 The oracle is the store's canonical record: :func:`canonical_line`
 excludes the producing backend by design, so every engine must render the
@@ -73,7 +73,7 @@ _WIDE_SHARE = 5
 
 #: Options the fuzz layer adds on top of the scenario under test; the
 #: differential runner strips them to recover the plain spec.
-_FUZZ_OPTIONS = ("family", "case", "stream", "siblings", "width", "compact")
+_FUZZ_OPTIONS = ("family", "case", "stream", "siblings", "width")
 
 #: Hard ceiling on shrink-step evaluations (each evaluation re-runs the
 #: case on two engines; shrinking must never dwarf the campaign itself).
@@ -95,8 +95,8 @@ def _draw_case(salt: int, case: int) -> ScenarioSpec:
         "case": case,
         "siblings": int(rng.integers(0, 3)),
         "width": (None, None, 2, 3)[int(rng.integers(0, 4))],
-        "compact": bool(rng.integers(0, 2)),
     }
+    rng.integers(0, 2)  # a retired option's draw, kept so later draws stay put
     if options["width"] is None:
         del options["width"]
     num_groups = 1
@@ -135,8 +135,8 @@ def _draw_wide_case(salt: int, case: int) -> ScenarioSpec:
         "stream": "wide",
         "siblings": int(rng.integers(0, 3)),
         "width": (None, None, 2)[int(rng.integers(0, 3))],
-        "compact": bool(rng.integers(0, 2)),
     }
+    rng.integers(0, 2)  # a retired option's draw, kept so later draws stay put
     if options["width"] is None:
         del options["width"]
     arm = int(rng.integers(0, 3))
@@ -200,7 +200,6 @@ def _run_engines(
     base: ScenarioSpec,
     siblings: Sequence[ScenarioSpec],
     width: int | None,
-    compact: bool,
 ) -> tuple[str, dict[str, str]]:
     """Oracle line + per-engine canonical lines for ``base``.  The
     oracle is the reference simulator, or from ``n = 16`` the
@@ -217,19 +216,18 @@ def _run_engines(
         except FastPathUnsupported:
             pass
     group = [base, *siblings]
-    label = f"batched[w={width},compact={compact},lanes={len(group)}]"
-    batched = execute_scenario_batch(group, width=width, compact=compact)
+    label = f"batched[w={width},lanes={len(group)}]"
+    batched = execute_scenario_batch(group, width=width)
     got[label] = _normalize(batched[0], base)
     return want, got
 
 
 def _case_dict(
-    base: ScenarioSpec, siblings: int, width: int | None, compact: bool
+    base: ScenarioSpec, siblings: int, width: int | None
 ) -> dict[str, Any]:
     case = base.to_dict()
     case["siblings"] = siblings
     case["width"] = width
-    case["compact"] = compact
     return case
 
 
@@ -238,12 +236,9 @@ def _case_fails(case: Mapping[str, Any]) -> bool:
     data = dict(case)
     siblings = int(data.pop("siblings", 0))
     width = data.pop("width", None)
-    compact = bool(data.pop("compact", True))
     try:
         base = ScenarioSpec.from_dict(data)
-        want, got = _run_engines(
-            base, _siblings(base, siblings), width, compact
-        )
+        want, got = _run_engines(base, _siblings(base, siblings), width)
     except Exception:  # noqa: BLE001 — a crashing shrink step is a fail
         return True
     return any(line != want for line in got.values())
@@ -276,7 +271,6 @@ def _shrink(case: dict[str, Any]) -> dict[str, Any]:
 
     attempt(siblings=0)
     attempt(width=None)
-    attempt(compact=True)
     attempt(noise=0.0)
     attempt(opt_purge_window=None)
     attempt(topology="cycle")
@@ -309,13 +303,12 @@ def run_fuzz_case(spec: ScenarioSpec) -> ScenarioResult:
     base = _base_spec(spec)
     siblings = int(spec.opt("siblings", 0))
     width = spec.opt("width")
-    compact = bool(spec.opt("compact", True))
-    want, got = _run_engines(base, _siblings(base, siblings), width, compact)
+    want, got = _run_engines(base, _siblings(base, siblings), width)
     mismatched = sorted(
         engine for engine, line in got.items() if line != want
     )
     if mismatched:
-        minimal = _shrink(_case_dict(base, siblings, width, compact))
+        minimal = _shrink(_case_dict(base, siblings, width))
         repro = json.dumps(minimal, sort_keys=True, separators=(",", ":"))
         return ScenarioResult.failure(
             spec,

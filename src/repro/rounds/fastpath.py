@@ -187,12 +187,16 @@ def simulate_fastpath(
     initial_values: Sequence[int],
     purge_window: int | None = None,
     prune_unreachable: bool = True,
-    stop_when_all_decided: bool = True,
-    enforce_self_delivery: bool = True,
     max_rounds: int | None = None,
     recorder=None,
 ) -> FastPathRun:
     """Execute Algorithm 1 with distinct-per-process tensor state.
+
+    Every process hears from itself each round (the paper's convention),
+    and the run stops at the first round after which every process has
+    decided: the defaults of
+    :class:`~repro.rounds.simulator.SimulationConfig`, with no grace
+    rounds.
 
     Parameters
     ----------
@@ -212,9 +216,6 @@ def simulate_fastpath(
     purge_window, prune_unreachable:
         Algorithm 1's design knobs, with the same semantics and defaults
         as :class:`~repro.core.approximation.ApproximationGraph`.
-    stop_when_all_decided, enforce_self_delivery:
-        As in :class:`~repro.rounds.simulator.SimulationConfig` (grace
-        rounds are not supported — sweeps never use them).
     max_rounds:
         Round budget; required with a schedule provider, defaults to the
         tensor length otherwise.
@@ -268,8 +269,7 @@ def simulate_fastpath(
                 context={"n": n, "kernel": "simulate_fastpath"},
             )
         schedule[filled:upto] = fetched
-        if enforce_self_delivery:
-            schedule[filled:upto, idx, idx] = True
+        schedule[filled:upto, idx, idx] = True
         filled = upto
 
     # State tensors (one slot per process; see module docstring).
@@ -357,15 +357,10 @@ def simulate_fastpath(
         undecided = ~decided
         if undecided.any():
             # Line 27: x_p <- min over beginning-of-round estimates of PT_p.
-            # Under self-delivery PT_p always contains p (the diagonal of
-            # every scheduled graph is True and pt starts full), so the
-            # empty-PT retain-guard only matters without it.
+            # PT_p always contains p (the diagonal of every scheduled
+            # graph is True and pt starts full), so it is never empty.
             candidate = np.where(pt, sent_est[None, :], big).min(axis=1)
-            if enforce_self_delivery:
-                update = undecided
-            else:
-                update = undecided & pt.any(axis=1)
-            est[update] = candidate[update]
+            est[undecided] = candidate[undecided]
             # Lines 28–30: decide when r > n and G_p is strongly connected.
             # Hub criterion: the owner p is always a node of G_p, so G_p is
             # strongly connected iff every node of V_p both reaches p and
@@ -383,7 +378,7 @@ def simulate_fastpath(
 
         labels = new_labels
         nodes = new_nodes
-        if stop_when_all_decided and decided.all():
+        if decided.all():
             num_rounds = r
             break
 
@@ -495,10 +490,7 @@ _COMPACT_NUM, _COMPACT_DEN = 3, 4
 
 def simulate_fastpath_batch(
     tasks: Sequence[FastPathTask],
-    stop_when_all_decided: bool = True,
-    enforce_self_delivery: bool = True,
     width: int | None = None,
-    compact: bool = True,
     recorder=None,
 ) -> list[FastPathRun]:
     """Execute a whole stack of Algorithm 1 runs at once.
@@ -519,12 +511,11 @@ def simulate_fastpath_batch(
       guarantees);
     * lanes that terminate early (everyone decided, or the lane's own
       ``max_rounds`` budget ran out) retire: their results are harvested
-      immediately and — with ``compact`` on — the surviving lanes are
-      compressed into a dense tensor program once enough width has been
-      freed, so a heterogeneous batch's kernel cost tracks the *live*
-      lane count instead of the allocated width (``compact=False``
-      reproduces the mask-only behavior: retired lanes stay allocated
-      and are merely masked out of the commit points);
+      immediately and the surviving lanes are compressed into a dense
+      tensor program once enough width has been freed, so a
+      heterogeneous batch's kernel cost tracks the *live* lane count
+      instead of the allocated width (until then retired lanes stay
+      allocated and are masked out of the commit points);
     * per-lane knobs (``purge_window``, ``prune_unreachable``,
       ``max_rounds``) are vectorized, and lanes may even differ in
       ``n``: the batch runs at the widest lane's width and smaller
@@ -554,10 +545,8 @@ def simulate_fastpath_batch(
     per-lane offset against the global loop counter — and fetches its
     schedule through the same block contract, so admission time is
     invisible to the result).  ``width=None`` admits every task at once.
-    With ``compact=False`` the queue instead drains in width-sized
-    *generations* — the next wave is admitted only once the current one
-    has fully retired — so the concurrent lane count (and therefore the
-    memory envelope) never exceeds ``width`` in either mode.
+    The concurrent lane count, and so the memory envelope, never
+    exceeds ``width``.
 
     **Fast-forward.**  A lane whose state has stopped changing is
     retired at its budget without running the rest of its rounds.  Call
@@ -599,8 +588,8 @@ def simulate_fastpath_batch(
     bit-identical to what ``simulate_fastpath`` would have produced for
     that lane alone — the differential suite
     (``tests/test_batched_equivalence.py``) enforces this across the
-    randomized scenario grid, every batch partition, compaction on/off
-    and every ``width``.
+    randomized scenario grid, every batch partition and every
+    ``width``.
     """
     if not tasks:
         return []
@@ -750,9 +739,8 @@ def simulate_fastpath_batch(
         # intersection then removes every padded sender before any
         # commit point reads it.
         schedule[s, have:upto, :lane_n, :lane_n] = fetched
-        if enforce_self_delivery:
-            d = idx[:lane_n]
-            schedule[s, have:upto, d, d] = True
+        d = idx[:lane_n]
+        schedule[s, have:upto, d, d] = True
         filled[s] = upto
 
     def keeps_pt_to_budget(s: int) -> bool:
@@ -808,8 +796,6 @@ def simulate_fastpath_batch(
                 tasks[t].initial_values,
                 purge_window=int(window[s]),
                 prune_unreachable=bool(prune[s]),
-                stop_when_all_decided=stop_when_all_decided,
-                enforce_self_delivery=enforce_self_delivery,
                 max_rounds=int(mr[s]),
             ),
             results[t],
@@ -920,10 +906,7 @@ def simulate_fastpath_batch(
         undecided = ~decided
         # Line 27: min over beginning-of-round estimates of PT_p.
         candidate = np.min(np.where(pt, sent_est[:, None, :], big), axis=2)
-        if enforce_self_delivery:
-            update = undecided & act
-        else:
-            update = undecided & act & pt.any(axis=2)
+        update = undecided & act
         est[update] = candidate[update]
         # Lines 28-30: hub-criterion decide once the lane's *own* clock
         # passes its *own* n — packed narrow lanes become eligible
@@ -950,11 +933,8 @@ def simulate_fastpath_batch(
         # Retire lanes: everyone decided, or the lane's own round budget
         # is spent — either way its local clock is its round count.
         # Padded owner slots never decide, so completion ignores them.
-        retire = np.zeros(S, dtype=bool)
-        if stop_when_all_decided:
-            done = decided | pad_slots if has_padding else decided
-            retire |= active & done.all(axis=1)
-        retire |= active & (r_loc >= mr)
+        done = decided | pad_slots if has_padding else decided
+        retire = active & (done.all(axis=1) | (r_loc >= mr))
         if retire.any():
             for s in np.nonzero(retire)[0]:
                 harvest(int(s), int(r_loc[s]))
@@ -978,15 +958,12 @@ def simulate_fastpath_batch(
 
         live = int(active.sum())
         lanes_changed = False
-        # Compress the lane axis: with compaction on, whenever enough
-        # width has been freed (or pending lanes wait on it); with
-        # compaction off, only once a whole generation has retired —
-        # results are already harvested, and dropping the dead
-        # generation is what keeps the concurrent lane count (and the
-        # memory envelope) capped at ``width`` even without compaction.
-        if (live < S and compact and (
+        # Compress the lane axis (results are already harvested) once
+        # enough width has been freed, or whenever pending lanes wait on
+        # it.
+        if live < S and (
             next_task < T or live * _COMPACT_DEN <= S * _COMPACT_NUM
-        )) or (live == 0 and S > 0 and next_task < T):
+        ):
             lanes_changed = True
             compactions += 1
             keep = active
@@ -1009,11 +986,8 @@ def simulate_fastpath_batch(
             pt_edges = pt_edges[keep]
             drop_round = drop_round[keep]
             live = origin.size
-        # Admission: with compaction on, refill freed width mid-run;
-        # with compaction off, start the next width-sized generation
-        # only once the current one has fully retired (mask-only
-        # semantics within each generation, width never exceeded).
-        if next_task < T and live < width_limit and (compact or live == 0):
+        # Admission: refill freed width mid-run.
+        if next_task < T and live < width_limit:
             lanes_changed = True
             take = min(width_limit - live, T - next_task)
             lanes_refilled += take

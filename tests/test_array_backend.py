@@ -121,8 +121,7 @@ def _dense_sender_max(labels, pt):
 
 def _pt_with_row_sizes(rng, S, n, sizes):
     """``(S, n, n)`` PT masks whose owner rows cycle through ``sizes``
-    senders each (0 = an empty row, as for a padded owner slot with
-    ``enforce_self_delivery=False``)."""
+    senders each (0 = an empty row, as for a padded owner slot)."""
     pt = np.zeros((S, n, n), dtype=bool)
     for s in range(S):
         for p in range(n):

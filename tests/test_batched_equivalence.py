@@ -19,18 +19,18 @@ ways:
   the batched backend, including the ``eventual`` family's fast-result
   twin (extras and all) and the ``ablation`` family's per-arm routing;
 * a **heterogeneous-latency grid** (mixed noise/adversary, so lanes of
-  one batch retire at wildly different rounds) pinning that the batch
-  scheduler's lane **compaction** and width **refill** are pure
-  execution-shape knobs: canonical lines equal across all three
-  backends, journal bytes invariant under compaction on/off, batch
-  shuffle, a degenerate ``--batch-memory`` envelope and
-  ``--jobs {1, 2, 4}``;
+  one batch retire at wildly different rounds) pinning that the
+  kernel's lane **compaction** and width **refill** are invisible in
+  the results: canonical lines equal across all three backends, each
+  lane equal to its single-lane run at every kernel width, journal
+  bytes invariant under batch shuffle, a degenerate
+  ``--batch-memory`` envelope and ``--jobs {1, 2, 4}``;
 * a **wide-lane grid** at ``n = 16/24/32``, where the NumPy merge
   gathers only the ``PT_p`` senders and the closure squares each
   distinct approximation graph once: batched vs vectorized canonical
   lines (the single-lane kernel keeps the dense merge and the plain
   closure, an independent reference) and journal bytes under
-  compaction on/off and a packed 24 -> 32 batch;
+  ``--jobs 2`` and a packed 24 -> 32 batch;
 * the **label dtype**: int16 labels while the largest budget of a
   batch is at most 32,767 and int32 from 32,768, each lane equal to
   its single-lane run (always int32).
@@ -41,7 +41,6 @@ produced by the three backends through the CLI on every change.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 
@@ -491,8 +490,8 @@ def _hetero_grid() -> list[ScenarioSpec]:
     """A same-``n``-heavy grid whose lanes retire at wildly different
     rounds: quiet grouped lanes decide just past ``r > n`` while noisy,
     crashed and partitioned lanes straggle (some to their full round
-    budget) — the worst case for mask-only batching, the target case
-    for compaction.  The noise/adversary axes are *interleaved* so the
+    budget) — the target case for compaction, which frees the width
+    of retired lanes.  The noise/adversary axes are *interleaved* so the
     historical contiguous-segment packing would also have fragmented it.
     """
     specs: list[ScenarioSpec] = []
@@ -529,9 +528,9 @@ HETERO_GRID = _hetero_grid()
 
 
 class TestCompactionEquivalence:
-    """Compaction and refill are pure execution-shape knobs: results,
-    journal bytes and summaries are identical with compaction on/off,
-    at any kernel width, under batch shuffle and at any jobs count."""
+    """Compaction and refill are invisible in the results: results,
+    journal bytes and summaries are identical at any kernel width,
+    under batch shuffle and at any jobs count."""
 
     def test_kernel_compaction_width_refill_equivalence(self):
         specs = [s for s in HETERO_GRID if s.n == 9]
@@ -542,22 +541,14 @@ class TestCompactionEquivalence:
             for t in _tasks(specs)
         ]
         expected = [_run_key(r) for r in singles]
-        for kwargs in (
-            {"compact": False},
-            {"compact": True},
-            {"compact": True, "width": 3},
-            {"compact": False, "width": 3},
-            {"compact": True, "width": 1},
-        ):
+        for kwargs in ({}, {"width": 3}, {"width": 1}):
             got = simulate_fastpath_batch(_tasks(specs), **kwargs)
             assert [_run_key(r) for r in got] == expected, kwargs
 
-    @pytest.mark.parametrize("compact", [True, False])
-    def test_width_caps_concurrent_lanes(self, compact, closure_inputs):
-        # The memory envelope is a hard cap in both modes: refill
-        # (compact on) and generation drain (compact off) must never
-        # run the kernel wider than ``width`` lanes.  Below n = 16 the
-        # kernel closes its whole (lanes·n, n, n) stack each round.
+    def test_width_caps_concurrent_lanes(self, closure_inputs):
+        # The memory envelope is a hard cap: refill must never run the
+        # kernel wider than ``width`` lanes.  Below n = 16 the kernel
+        # closes its whole (lanes·n, n, n) stack each round.
         specs = [s for s in HETERO_GRID if s.n == 9]
         n = 9
         singles = [
@@ -566,9 +557,7 @@ class TestCompactionEquivalence:
             )
             for t in _tasks(specs)
         ]
-        runs = simulate_fastpath_batch(
-            _tasks(specs), width=3, compact=compact
-        )
+        runs = simulate_fastpath_batch(_tasks(specs), width=3)
         assert max(len(stack) // n for stack in closure_inputs) == 3
         assert [_run_key(r) for r in runs] == [_run_key(r) for r in singles]
 
@@ -582,17 +571,11 @@ class TestCompactionEquivalence:
             execute_scenario_with_backend(spec, BACKEND_BATCHED)
         ) == line
 
-    def test_journal_bytes_invariant_under_compaction_and_shuffle(self):
+    def test_journal_bytes_invariant_under_shuffle(self):
         serial = execute_scenarios(HETERO_GRID, backend=BACKEND_BATCHED)
         expected = {
             r.scenario_id: journal_line(r) for r in serial
         }
-        no_compact = execute_scenarios(
-            HETERO_GRID, backend=BACKEND_BATCHED, compact=False
-        )
-        assert [journal_line(r) for r in no_compact] == [
-            journal_line(r) for r in serial
-        ]
         shuffled = list(HETERO_GRID)
         random.Random(11).shuffle(shuffled)
         for spec, result in zip(
@@ -820,9 +803,9 @@ class TestCrossWidthPacking:
             for t in _tasks(MIXED_N_SPECS)
         ]
         expected = [_run_key(r) for r in singles]
-        # Full-width mixed batch, a narrow refilling window, and the
-        # narrow window without compaction: padding must be invisible.
-        for kwargs in ({}, {"width": 3}, {"width": 3, "compact": False}):
+        # Full-width mixed batch and a narrow refilling window: padding
+        # must be invisible.
+        for kwargs in ({}, {"width": 3}):
             runs = simulate_fastpath_batch(_tasks(MIXED_N_SPECS), **kwargs)
             assert [_run_key(r) for r in runs] == expected, kwargs
 
@@ -836,22 +819,13 @@ class TestCrossWidthPacking:
             assert line == canonical_line(execute_scenario(spec))
             assert line == canonical_line(execute_scenario_vectorized(spec))
 
-    # The jobs x compact product against the serial journal, unsorted:
-    # serial and pool run one plan.
-    @pytest.mark.parametrize(
-        "jobs, compact",
-        [
-            combo
-            for combo in itertools.product((1, 2, 4), (True, False))
-            if combo != (1, True)
-        ],
-    )
-    def test_journal_bytes_invariant_under_jobs_compaction(
-        self, mixed_n_serial_lines, jobs, compact
+    # Pool runs against the serial journal, unsorted: serial and pool
+    # run one plan.
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_journal_bytes_invariant_under_jobs(
+        self, mixed_n_serial_lines, jobs
     ):
-        assert _journal(
-            MIXED_N_SPECS, jobs=jobs, compact=compact
-        ) == mixed_n_serial_lines
+        assert _journal(MIXED_N_SPECS, jobs=jobs) == mixed_n_serial_lines
 
     def test_packed_deterministic_plane_matches_per_n_kernel_work(self):
         # Packing pads the *tensors*, never the per-lane programs: the
@@ -960,7 +934,7 @@ def _solo_key(task):
 class TestWideLaneEquivalence:
     """The gather merge and the deduplicated closure are byte-identical
     to the single-lane kernel's dense merge and plain closure, under
-    compaction, width caps and packing."""
+    width caps and packing."""
 
     def test_batched_matches_vectorized(self, closure_inputs, monkeypatch):
         from repro.rounds.array_backend import KernelNamespace
@@ -992,11 +966,11 @@ class TestWideLaneEquivalence:
     def test_packed_kernel_matches_singletons(self):
         specs = [s for s in WIDE_GRID if s.n in (24, 32)]
         expected = [_solo_key(task) for task in _option_tasks(specs)]
-        for kwargs in ({}, {"width": 3}, {"width": 3, "compact": False}):
+        for kwargs in ({}, {"width": 3}):
             runs = simulate_fastpath_batch(_option_tasks(specs), **kwargs)
             assert [_run_key(r) for r in runs] == expected, kwargs
 
-    def test_journal_bytes_invariant_under_compaction_and_jobs(self):
+    def test_journal_bytes_invariant_under_jobs(self):
         from repro.engine.scheduler import plan_batches
 
         # The planner never pads a gather-regime lane.
@@ -1006,8 +980,7 @@ class TestWideLaneEquivalence:
             for batch in plan.batches
         )
         expected = _journal(WIDE_GRID)
-        for kwargs in ({"compact": False}, {"jobs": 2}):
-            assert _journal(WIDE_GRID, **kwargs) == expected, kwargs
+        assert _journal(WIDE_GRID, jobs=2) == expected
 
 
 # ----------------------------------------------------------------------

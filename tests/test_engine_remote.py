@@ -6,6 +6,7 @@ worker count, completion order, or mid-run worker loss."""
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
@@ -28,6 +29,8 @@ from repro.engine.faults import FaultPlan
 from repro.engine.remote import (
     RemoteWorkerError,
     WorkerEndpoint,
+    _run_unit,
+    _unit_msg,
     execute_remote,
     parse_workers,
 )
@@ -200,6 +203,39 @@ class TestPlanUnits:
         assert [u.items for u in units] == [
             indexed[i:i + size] for i in range(0, len(indexed), size)
         ]
+
+
+# ----------------------------------------------------------------------
+# The unit wire message, run in-process on the worker side.
+# ----------------------------------------------------------------------
+
+
+class TestUnitMessage:
+    @staticmethod
+    def _wire_msg() -> dict:
+        """A planned batch's unit message, as the worker decodes it."""
+        indexed = list(enumerate(small_grid().expand()))
+        unit = next(
+            u for u in plan_units(indexed, "batched", jobs=1)
+            if u.kind == "batch"
+        )
+        return json.loads(json.dumps(_unit_msg(unit, "batched")))
+
+    def test_unit_message_fields(self):
+        assert set(self._wire_msg()) == {
+            "type", "kind", "id", "items", "backend", "n", "bucket",
+            "width",
+        }
+
+    def test_legacy_compact_field_is_ignored(self):
+        # A coordinator from before the mask-only kernel mode was
+        # retired still sends that mode's flag; its units must still run.
+        msg = self._wire_msg()
+        reply = _run_unit(msg, collect=False)
+        legacy = _run_unit({**msg, "compact": False}, collect=False)
+        assert reply["type"] == legacy["type"] == "result"
+        assert len(reply["records"]) == len(msg["items"])
+        assert legacy["records"] == reply["records"]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Engine telemetry: the two-plane recorder and its engine threading.
 
 The deterministic plane must be a pure function of the scenario set —
-invariant across ``--jobs``, spec order, and lane compaction — while the
+invariant across ``--jobs``, spec order, and kernel width — while the
 journal/summary bytes stay untouched whether metrics are on or off.
 Both contracts are pinned here, alongside the recorder's merge algebra
 (commutative, associative) that makes worker-snapshot merging
@@ -225,15 +225,16 @@ class TestDeterministicPlane:
         bwd = backward.snapshot()["deterministic"]
         assert fwd == bwd
 
-    def test_invariant_across_compaction(self):
-        """Lane compaction is an execution-shape knob: the det plane must
-        not see it (the volatile plane may)."""
+    def test_invariant_across_width(self):
+        """The kernel width is an execution-shape knob: the det plane
+        must not see it (the volatile plane may)."""
         specs = termination_grid(ns=[6], seeds=range(5), noise=0.2)
-        on, off = Recorder(), Recorder()
-        execute_scenario_batch(specs, width=2, compact=True, recorder=on)
-        execute_scenario_batch(specs, width=2, compact=False, recorder=off)
+        narrow, full = Recorder(), Recorder()
+        execute_scenario_batch(specs, width=2, recorder=narrow)
+        execute_scenario_batch(specs, width=None, recorder=full)
         assert (
-            on.snapshot()["deterministic"] == off.snapshot()["deterministic"]
+            narrow.snapshot()["deterministic"]
+            == full.snapshot()["deterministic"]
         )
 
     def test_journal_bytes_identical_metrics_on_off(self, tmp_path):

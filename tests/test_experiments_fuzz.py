@@ -47,11 +47,11 @@ def test_existing_case_ids_stay_pinned():
     # must not move any narrow case.
     family = get_family("fuzz")
     assert [s.scenario_id for s in family.grid({"seeds": 6})[:6]] == [
-        "24ab5c7145ab", "9b152a6bb614", "a99b71e90227",
-        "326a63dcb688", "60a4dcab4176", "3a42374a1cbf",
+        "0e74ae78802f", "a9e5786cb88d", "9b958e0c3411",
+        "10ea239bc23a", "56ebcf066985", "258e271dbcb8",
     ]
     assert [s.scenario_id for s in family.grid({"seeds": 3, "salt": 7})] == [
-        "c1bb145aa583", "ba71bdf341c5", "e7325c07fbd6",
+        "7ac61764e0c6", "96952ae9b35a", "d201d27ef1ee",
     ]
 
 
@@ -136,9 +136,8 @@ def test_broken_kernel_caught_and_shrunk(monkeypatch):
     differential mismatch and shrunk to a minimal printed repro."""
     real = fuzz_module.execute_scenario_batch
 
-    def broken(specs, width=None, compact=True, recorder=None):
-        results = real(specs, width=width, compact=compact,
-                       recorder=recorder)
+    def broken(specs, width=None, recorder=None):
+        results = real(specs, width=width, recorder=recorder)
         # Corrupt the first lane's round count: a subtle off-by-one of
         # the kind a real kernel bug would produce.
         first = results[0]
@@ -161,7 +160,6 @@ def test_broken_kernel_caught_and_shrunk(monkeypatch):
     # so the shrinker must reach the floor of each greedy pass.
     assert minimal["siblings"] == 0
     assert minimal["width"] is None
-    assert minimal["compact"] is True
     assert minimal["noise"] in (0, 0.3)
     assert minimal["n"] <= spec.n
 
@@ -175,7 +173,7 @@ def test_shrink_respects_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(fuzz_module, "_case_fails", always_fails)
     spec = get_family("fuzz").grid({"seeds": 1})[0]
-    case = _case_dict(_base_spec(spec), 2, 3, False)
+    case = _case_dict(_base_spec(spec), 2, 3)
     _shrink(case)
     assert calls["n"] <= fuzz_module._SHRINK_BUDGET
 
@@ -184,7 +182,7 @@ def test_healthy_shrinker_finds_nothing():
     # On a healthy engine no case fails, so _case_fails is False and a
     # hypothetical shrink would be a no-op (guards the polarity).
     spec = get_family("fuzz").grid({"seeds": 1})[0]
-    case = _case_dict(_base_spec(spec), 0, None, True)
+    case = _case_dict(_base_spec(spec), 0, None)
     assert not fuzz_module._case_fails(case)
 
 

@@ -11,8 +11,8 @@ when it may:
   and one whose stale labels do not rise, are refused; each equals the
   single-lane :func:`~repro.rounds.fastpath.simulate_fastpath` run,
   which never fast-forwards;
-* under compaction, mask-only batching, width caps (late admission) and
-  cross-``n`` packing the results stay bit-identical;
+* under width caps (late admission, compaction) and cross-``n``
+  packing the results stay bit-identical;
 * the deterministic kernel counters of a small straggler grid equal
   the values measured before fast-forwarding existed.
 """
@@ -156,10 +156,7 @@ def test_provider_lane_fetches_the_same_blocks():
     assert _key(run) == _key(_solo(task))
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{}, {"compact": False}, {"width": 1}, {"width": 2, "compact": False}],
-)
+@pytest.mark.parametrize("kwargs", [{}, {"width": 1}, {"width": 2}])
 def test_mixed_batch_matches_singletons(kwargs):
     # Stationary, refused and ordinary lanes together, packed with a
     # wider provider lane from the stock adversary.
@@ -179,23 +176,6 @@ def test_mixed_batch_matches_singletons(kwargs):
     runs, forwarded = _fast_forwarded(tasks, **kwargs)
     assert forwarded == 2
     assert [_key(r) for r in runs] == [_key(_solo(t)) for t in tasks]
-
-
-def test_fully_decided_lanes_fast_forward_without_the_early_stop():
-    # stop_when_all_decided=False keeps decided lanes running to their
-    # budget; a decided lane whose state stopped changing qualifies too.
-    task = cycle_task(cycle_schedule(drop=8))
-    rec = Recorder()
-    (run,) = simulate_fastpath_batch(
-        [task], stop_when_all_decided=False, recorder=rec
-    )
-    solo = simulate_fastpath(
-        task.adjacency, list(task.initial_values), purge_window=1,
-        stop_when_all_decided=False,
-    )
-    assert _key(run) == _key(solo)
-    assert run.num_rounds == BUDGET and run.all_decided()
-    assert rec.counter("kernel.lanes_fast_forwarded") == 1
 
 
 # ----------------------------------------------------------------------
