@@ -528,9 +528,9 @@ HETERO_GRID = _hetero_grid()
 
 
 class TestCompactionEquivalence:
-    """Compaction and refill are invisible in the results: results,
-    journal bytes and summaries are identical at any kernel width,
-    under batch shuffle and at any jobs count."""
+    """Compaction and refill never change a result: results, journal
+    bytes and summaries are identical at any kernel width, under batch
+    shuffle and at any jobs count."""
 
     def test_kernel_compaction_width_refill_equivalence(self):
         specs = [s for s in HETERO_GRID if s.n == 9]
