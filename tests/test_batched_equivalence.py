@@ -545,10 +545,12 @@ class TestCompactionEquivalence:
             got = simulate_fastpath_batch(_tasks(specs), **kwargs)
             assert [_run_key(r) for r in got] == expected, kwargs
 
-    def test_width_caps_concurrent_lanes(self, closure_inputs):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_width_caps_concurrent_lanes(self, width, closure_inputs):
         # The memory envelope is a hard cap: refill must never run the
-        # kernel wider than ``width`` lanes.  Below n = 16 the kernel
-        # closes its whole (lanes·n, n, n) stack each round.
+        # kernel wider than ``width`` lanes, down to one lane at a time.
+        # Below n = 16 the kernel closes its whole (lanes·n, n, n) stack
+        # each round.
         specs = [s for s in HETERO_GRID if s.n == 9]
         n = 9
         singles = [
@@ -557,8 +559,8 @@ class TestCompactionEquivalence:
             )
             for t in _tasks(specs)
         ]
-        runs = simulate_fastpath_batch(_tasks(specs), width=3)
-        assert max(len(stack) // n for stack in closure_inputs) == 3
+        runs = simulate_fastpath_batch(_tasks(specs), width=width)
+        assert max(len(stack) // n for stack in closure_inputs) == width
         assert [_run_key(r) for r in runs] == [_run_key(r) for r in singles]
 
     @pytest.mark.parametrize(

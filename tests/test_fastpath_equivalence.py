@@ -33,8 +33,16 @@ from repro.engine.campaign import Campaign
 from repro.engine.executor import execute_scenario, execute_scenarios
 from repro.engine.scenarios import ScenarioGrid, ScenarioSpec, termination_grid
 from repro.engine.store import canonical_line, decode_result, journal_line
+from repro.core.algorithm import SkeletonAgreementProcess
+from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import to_adjacency
-from repro.rounds.fastpath import FastPathUnsupported, simulate_fastpath
+from repro.rounds.fastpath import (
+    FastPathTask,
+    FastPathUnsupported,
+    simulate_fastpath,
+    simulate_fastpath_batch,
+)
+from repro.rounds.simulator import RoundSimulator, SimulationConfig
 
 
 def assert_equivalent(spec: ScenarioSpec) -> None:
@@ -124,6 +132,65 @@ class TestScenarioEquivalence:
         monkeypatch.setattr(fastpath_module, "_MERGE_BUF_BYTES", 1)
         assert_equivalent(
             ScenarioSpec(n=7, k=2, num_groups=2, seed=4, noise=0.2)
+        )
+
+
+class TestReferenceDefaults:
+    """Both kernels hard-wire the reference simulator's defaults: every
+    process hears from itself each round, and the run stops at the
+    first round after which every process has decided."""
+
+    BUDGET = 30
+    # Self-loop-free graphs, each with the decision rounds it yields,
+    # all long before the budget: in the chain (0 -> 1, 1 <-> 2) the
+    # processes decide one round apart, in the 4-ring all in round 5.
+    SCHEDULES = {
+        "chain": ((0, 1), (1, 2), (2, 1)),
+        "ring": ((0, 1), (1, 2), (2, 3), (3, 0)),
+    }
+    DECISION_ROUNDS = {
+        "chain": {0: 4, 1: 5, 2: 6},
+        "ring": {0: 5, 1: 5, 2: 5, 3: 5},
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("kernel", ["single", "batched"])
+    def test_self_loop_free_schedule_runs_as_the_reference(
+        self, kernel, schedule
+    ):
+        edges = self.SCHEDULES[schedule]
+        n = 1 + max(max(edge) for edge in edges)
+        values = tuple(range(7, 7 - 2 * n, -2))
+        graph = DiGraph(nodes=range(n))
+        for u, v in edges:
+            graph.add_edge(u, v)
+        adversary = StaticAdversary(n, graph, self_loops=False)
+        config = SimulationConfig(max_rounds=self.BUDGET)
+        assert config.enforce_self_delivery and config.stop_when_all_decided
+        processes = [
+            SkeletonAgreementProcess(p, n, v) for p, v in enumerate(values)
+        ]
+        reference = RoundSimulator(processes, adversary, config).run()
+        stack = adversary.adjacency_stack(self.BUDGET)
+        assert not stack[:, range(n), range(n)].any()
+        if kernel == "single":
+            run = simulate_fastpath(stack, list(values))
+        else:
+            (run,) = simulate_fastpath_batch(
+                [FastPathTask(adjacency=stack, initial_values=values)]
+            )
+        expected = self.DECISION_ROUNDS[schedule]
+        assert run.decision_rounds() == reference.decision_rounds()
+        assert run.decision_rounds() == expected
+        assert run.num_rounds == reference.num_rounds == max(expected.values())
+        assert run.decision_values() == reference.decision_values()
+        # The recorded graphs carry the enforced self-loops.
+        assert np.array_equal(
+            run.adjacency,
+            np.stack([
+                to_adjacency(reference.graph(r), n)
+                for r in range(1, reference.num_rounds + 1)
+            ]),
         )
 
 

@@ -7,7 +7,7 @@ remaining round drops one.  These tests pin that it does so exactly
 when it may:
 
 * a crafted schedule that stays stationary to its budget is
-  fast-forwarded; one that drops a PT edge after a stationary stretch,
+  fast-forwarded, also with one process already decided; one that drops a PT edge after a stationary stretch,
   and one whose stale labels do not rise, are refused; each equals the
   single-lane :func:`~repro.rounds.fastpath.simulate_fastpath` run,
   which never fast-forwards;
@@ -96,6 +96,24 @@ def test_stationary_lane_is_fast_forwarded_to_its_budget():
     # passes at the end of round 5 and skips the other 35.
     assert rec.counter("kernel.rounds_fast_forwarded") == BUDGET - 5
     assert rec.counter("kernel.loop_rounds") == 5
+
+
+def test_partly_decided_stationary_lane_is_fast_forwarded():
+    # 0 hears only itself, 1 <-> 2 throughout.  PT_0 = {0}, so 0
+    # decides in round 4; with purge window 1, G_1 and G_2 hold only
+    # their fresh in-edge and never decide.  A decided process's state
+    # stops changing too, so the lane qualifies and keeps its decision.
+    sched = np.zeros((BUDGET, 3, 3), dtype=bool)
+    sched[:, 1, 2] = sched[:, 2, 1] = True
+    task = cycle_task(sched)
+    rec = Recorder()
+    (run,) = simulate_fastpath_batch([task], recorder=rec)
+    assert _key(run) == _key(_solo(task))
+    assert run.num_rounds == BUDGET
+    assert run.decision_rounds() == {0: 4}
+    assert run.decision_values() == {5}
+    assert rec.counter("kernel.lanes_fast_forwarded") == 1
+    assert rec.counter("kernel.rounds_fast_forwarded") == BUDGET - 5
 
 
 def test_lane_that_drops_a_pt_edge_later_is_refused():
