@@ -16,8 +16,9 @@ no test emitted, so a retitled table does not leave its old copy behind.
 
 :func:`record_fastpath` additionally maintains a *machine-readable* perf
 trajectory in ``benchmarks/BENCH_FASTPATH.json`` (per-workload wall-clock
-for the reference vs vectorized execution backend, plus host metadata),
-so future PRs can track backend speedups without parsing tables.
+for the reference backend vs the single-lane kernel, recorded under its
+historical ``vectorized`` names, plus host metadata), so future PRs can
+track backend speedups without parsing tables.
 """
 
 from __future__ import annotations
@@ -132,12 +133,14 @@ def pytest_configure(config):
 def record_fastpath():
     """Upsert one workload's backend comparison into BENCH_FASTPATH.json.
 
-    Each entry records wall-clock for the reference, vectorized and (when
-    measured) mega-batched backends over the same scenario list, plus the
-    host it was measured on (per entry, so partial re-runs on another
-    machine stay correctly attributed).  File level:
+    Each entry records wall-clock for the reference backend, the
+    single-lane kernel (``vectorized_s``, the name it was first recorded
+    under) and (when measured) the mega-batched backend over the same
+    scenario list, plus the host it was measured on (per entry, so
+    partial re-runs on another machine stay correctly attributed).
+    File level:
 
-    * ``median_speedup`` — vectorized over reference, median across
+    * ``median_speedup`` — single-lane over reference, median across
       workloads (the historical trajectory number);
     * ``median_speedup_batched`` — batched over reference;
     * ``median_batched_vs_vectorized`` — the *additional* gain of

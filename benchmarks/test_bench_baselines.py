@@ -21,7 +21,7 @@ from repro.engine.scenarios import ScenarioSpec
 def _campaign_rows(named_specs, store_path, extra_cols):
     """Run (resumably) and return one row per named scenario, in order.
 
-    ``backend="auto"``: the Algorithm-1 arm executes on the vectorized
+    ``backend="auto"``: the Algorithm-1 arm executes on the batched
     fast path (identical metrics), the baseline algorithms transparently
     fall back to the reference simulator."""
     campaign = Campaign(

@@ -1,12 +1,16 @@
-"""FASTPATH: the vectorized and mega-batched backends vs the reference.
+"""FASTPATH: the mega-batched backend vs the single-lane kernel and the reference.
 
-Times the three execution backends over the same campaign ensemble
-workloads the TERMINATION and LATENCY-DIST experiments run — per-scenario
-results are asserted byte-identical (canonical JSON lines) across all
-three before any speedup is reported, so the numbers always compare
-*equivalent* work.  Wall-clocks land in ``benchmarks/BENCH_FASTPATH.json``
-(machine-readable trajectory: per-``n`` groups and medians, for both the
-reference and the vectorized baseline) and the per-group breakdown in
+Times three execution engines over the same campaign ensemble workloads
+the TERMINATION and LATENCY-DIST experiments run: the reference backend,
+the batched backend, and the single-lane reference kernel run scenario by
+scenario (:func:`~repro.engine.backends.simulate_single_lane` plus the
+stock result builder, no executor).  Per-scenario results are asserted
+byte-identical (canonical JSON lines) across all three before any
+speedup is reported, so the numbers always compare *equivalent* work.
+Wall-clocks land in ``benchmarks/BENCH_FASTPATH.json`` (machine-readable
+trajectory: per-``n`` groups and medians, for both the reference and the
+single-lane baseline, which keeps its historical ``vectorized_s`` /
+``speedup_vs_vectorized`` names) and the per-group breakdown in
 ``results.txt``.
 
 Each group is one seed ensemble (24 seeds — campaign-scale, which is
@@ -25,15 +29,16 @@ import time
 from bench_timing import interleaved_best
 
 from repro.analysis.reporting import format_table
+from repro.engine.backends import _stock_result, simulate_single_lane
 from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec, termination_grid
 from repro.engine.store import canonical_line, journal_line
 
-# Conservative floors vs the measured ~2.1-2.8x (batched over vectorized)
+# Conservative floors vs the measured ~2.1-2.8x (batched over single-lane)
 # and ~6x+ (fast paths over reference) so a loaded CI box cannot flake
 # the suite; BENCH_FASTPATH.json records the real ratios.
-MIN_SPEEDUP = 2.5  # vectorized (and batched) over reference
-MIN_BATCH_GAIN = 1.2  # batched over vectorized, median across groups
+MIN_SPEEDUP = 2.5  # single-lane (and batched) over reference
+MIN_BATCH_GAIN = 1.2  # batched over single-lane, median across groups
 # The planner's cross-n packing over running each n as its own work
 # list, on sparse mixed-width ensembles; measured ~1.4-1.45x per group.
 MIN_PACKING_GAIN = 1.3
@@ -76,22 +81,27 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
+def _run_single_lane(specs):
+    """Each spec alone through the single-lane reference kernel."""
+    return [_stock_result(spec, *simulate_single_lane(spec)) for spec in specs]
+
+
 def _time_backends(specs):
-    """(reference_s, vectorized_s, batched_s) for one scenario list,
+    """(reference_s, single_lane_s, batched_s) for one scenario list,
     three-way equivalence asserted first."""
     reference = execute_scenarios(specs, backend="reference")
-    vectorized = execute_scenarios(specs, backend="vectorized")
+    single = _run_single_lane(specs)
     batched = execute_scenarios(specs, backend="batched")
     lines = [canonical_line(r) for r in reference]
-    assert lines == [canonical_line(r) for r in vectorized], (
-        "backends disagree — speedup numbers would be meaningless"
+    assert lines == [canonical_line(r) for r in single], (
+        "engines disagree — speedup numbers would be meaningless"
     )
     assert lines == [canonical_line(r) for r in batched], (
-        "backends disagree — speedup numbers would be meaningless"
+        "engines disagree — speedup numbers would be meaningless"
     )
     return (
         _best_of(lambda: execute_scenarios(specs, backend="reference")),
-        _best_of(lambda: execute_scenarios(specs, backend="vectorized")),
+        _best_of(lambda: _run_single_lane(specs)),
         _best_of(lambda: execute_scenarios(specs, backend="batched")),
     )
 
@@ -182,8 +192,8 @@ def test_bench_fastpath_termination(benchmark, emit, record_fastpath):
         format_table(
             HEADERS,
             rows,
-            title="FASTPATH-TERM — mega-batched vs vectorized vs reference "
-            "backend on the TERMINATION ensemble (identical metrics "
+            title="FASTPATH-TERM — mega-batched vs single-lane vs reference "
+            "on the TERMINATION ensemble (identical metrics "
             "asserted first)",
         )
     )
@@ -239,7 +249,7 @@ def _hetero_latency_specs(n: int, seeds: int) -> list[ScenarioSpec]:
 
 
 def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
-    """HETERO-LAT: the three backends on heterogeneous-latency
+    """HETERO-LAT: the three engines on heterogeneous-latency
     ensembles, canonical lines asserted equal first."""
     groups = [
         (f"n={n}", _hetero_latency_specs(n, SEEDS)) for n in (9, 12, 16)
@@ -267,8 +277,8 @@ def test_bench_fastpath_hetero_latency(benchmark, emit, record_fastpath):
         format_table(
             HEADERS,
             rows,
-            title="FASTPATH-HETERO — mega-batched vs vectorized vs "
-            "reference backend on heterogeneous-latency ensembles "
+            title="FASTPATH-HETERO — mega-batched vs single-lane vs "
+            "reference on heterogeneous-latency ensembles "
             "(identical metrics asserted first)",
         )
     )
@@ -517,9 +527,7 @@ def test_bench_fastpath_cross_width_packing(benchmark, emit, record_fastpath):
             ref_s = _best_of(
                 lambda: execute_scenarios(specs, backend="reference")
             )
-            vect_s = _best_of(
-                lambda: execute_scenarios(specs, backend="vectorized")
-            )
+            vect_s = _best_of(lambda: _run_single_lane(specs))
             (per_n_s, packed_s), _ = interleaved_best(
                 [
                     lambda: _run_per_n(specs),
@@ -660,8 +668,8 @@ def test_bench_fastpath_latency_dist(benchmark, emit, record_fastpath):
         format_table(
             HEADERS,
             rows,
-            title="FASTPATH-LAT — mega-batched vs vectorized vs reference "
-            "backend on the LATENCY-DIST ensembles (identical metrics "
+            title="FASTPATH-LAT — mega-batched vs single-lane vs reference "
+            "on the LATENCY-DIST ensembles (identical metrics "
             "asserted first)",
         )
     )

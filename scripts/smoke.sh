@@ -3,12 +3,12 @@
 # the parallel executor, the JSONL store, resume-by-hash and the canonical
 # summary — so the multiprocessing path is driven on every change, not
 # just in CI benchmarks.  A final pass runs the same tiny grid on all
-# three execution backends (reference simulator, per-scenario vectorized
-# fast path, mega-batched fast path) and byte-compares the canonical
-# summaries; a large-n leg (n = 16/20/24, where the batched kernel's
-# NumPy merge gathers only the PT senders and its closure squares each
-# distinct graph once) byte-compares the batched summary, contracts
-# armed, with the vectorized one; the batched backend's journal bytes are
+# three execution backends (reference simulator, mega-batched fast path,
+# auto) and byte-compares the canonical summaries; a large-n leg
+# (n = 16/20/24, where the batched kernel's NumPy merge gathers only the
+# PT senders and its closure squares each distinct graph once)
+# byte-compares the batched summary, contracts armed, with the reference
+# one; the batched backend's journal bytes are
 # additionally checked to be independent of the jobs count / batch
 # partition, and a scheduler-planned heterogeneous-latency family leg
 # (--jobs 2, tiny --batch-memory envelope) is diffed against the serial
@@ -61,40 +61,39 @@ cmp "$summary_a" "$summary_b"
 echo "summaries byte-identical after resume: OK"
 
 echo
-echo "== backend equivalence: fast paths vs reference =="
+echo "== backend equivalence: fast path vs reference =="
 eq_grid=(-n 4 6 -k 2 --seeds 3 --noise 0.0 0.25)
 summary_ref="$workdir/summary_reference.jsonl"
-summary_vec="$workdir/summary_vectorized.jsonl"
 summary_bat="$workdir/summary_batched.jsonl"
+summary_auto="$workdir/summary_auto.jsonl"
 python -m repro campaign run --store "$workdir/journal_ref.jsonl" \
     --backend reference --summary "$summary_ref" "${eq_grid[@]}"
-python -m repro campaign run --store "$workdir/journal_vec.jsonl" \
-    --backend vectorized --summary "$summary_vec" "${eq_grid[@]}"
 python -m repro campaign run --store "$workdir/journal_bat.jsonl" \
     --backend batched --summary "$summary_bat" "${eq_grid[@]}"
-cmp "$summary_ref" "$summary_vec"
+python -m repro campaign run --store "$workdir/journal_auto.jsonl" \
+    --backend auto --summary "$summary_auto" "${eq_grid[@]}"
 cmp "$summary_ref" "$summary_bat"
-echo "reference, vectorized and batched summaries byte-identical: OK"
+cmp "$summary_ref" "$summary_auto"
+echo "reference, batched and auto summaries byte-identical: OK"
 
 echo
-echo "== large-n leg: gather merge + distinct-graph closure (batched) vs dense merge + plain closure (vectorized) =="
+echo "== large-n leg: gather merge + distinct-graph closure (batched) vs the reference simulator =="
 # From n = 16 the batched kernel merges only each owner's PT senders,
 # closes each distinct approximation graph once and runs int16 labels;
-# the single-lane vectorized kernel keeps the dense merge, the plain
-# closure and int32 labels, so equal summaries byte-compare all three
-# pairs end to end (9 scenarios, n = 16, 20 and 24; n = 16 is the
-# narrowest width that takes them).  The batched run has its contracts
-# armed, the label-window check among them, and its sidecar must show
-# that check ran.
+# equal summaries against the reference simulator check all three end
+# to end (9 scenarios, n = 16, 20 and 24; n = 16 is the narrowest width
+# that takes them).  The batched run has its contracts armed, the
+# label-window and lane-identity checks among them, and its sidecar must
+# show that the label-window check ran.
 large_grid=(-n 16 20 24 -k 3 --seeds 1 --noise 0.3 --no-progress)
-python -m repro campaign run --store "$workdir/journal_large_vec.jsonl" \
-    --backend vectorized --summary "$workdir/summary_large_vec.jsonl" \
+python -m repro campaign run --store "$workdir/journal_large_ref.jsonl" \
+    --backend reference --summary "$workdir/summary_large_ref.jsonl" \
     "${large_grid[@]}" > /dev/null
 python -m repro campaign run --store "$workdir/journal_large_bat.jsonl" \
     --backend batched --summary "$workdir/summary_large_bat.jsonl" \
     --contracts --metrics "${large_grid[@]}" > /dev/null
 test "$(wc -l < "$workdir/summary_large_bat.jsonl")" -eq 9
-cmp "$workdir/summary_large_vec.jsonl" "$workdir/summary_large_bat.jsonl"
+cmp "$workdir/summary_large_ref.jsonl" "$workdir/summary_large_bat.jsonl"
 python - "$workdir/journal_large_bat.jsonl.metrics.json" <<'PY'
 import sys
 from repro.engine.telemetry import read_sidecar
@@ -102,7 +101,7 @@ from repro.engine.telemetry import read_sidecar
 vol = read_sidecar(sys.argv[1])["volatile"]["counters"]
 assert vol.get("contracts.kernel.label_window", 0) > 0, vol
 PY
-echo "large-n vectorized and batched summaries byte-identical, label window checked: OK"
+echo "large-n reference and batched summaries byte-identical, label window checked: OK"
 
 echo
 echo "== mega-batch partition invariance: --jobs 2 journal bytes =="
@@ -120,7 +119,7 @@ echo "batched journal bytes independent of jobs/partition: OK"
 echo
 echo "== experiment registry: every family as a campaign =="
 # One small scenario grid per registered family through
-# `campaign run --family`; where the family supports the vectorized fast
+# `campaign run --family`; where the family supports the batched fast
 # path, run it on both backends and byte-compare the canonical summaries.
 run_family() {
     local family="$1"; shift
@@ -141,17 +140,6 @@ run_family() {
         --store "$fdir/ref.jsonl" "${args[@]}" > /dev/null
 }
 
-run_family_vectorized() {
-    local family="$1"; shift
-    local args=("$@")
-    local fdir="$workdir/family_$family"
-    echo "-- family: $family (vectorized vs reference) --"
-    python -m repro campaign run --family "$family" \
-        --store "$fdir/vec.jsonl" --summary "$fdir/vec_summary.jsonl" \
-        --backend vectorized "${args[@]}" > /dev/null
-    cmp "$fdir/ref_summary.jsonl" "$fdir/vec_summary.jsonl"
-}
-
 run_family_batched() {
     local family="$1"; shift
     local args=("$@")
@@ -166,17 +154,14 @@ run_family_batched() {
 run_family figure1
 run_family theorem2 -n 6 -k 3
 run_family sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
-run_family_vectorized sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
 run_family_batched sweeps -n 5 6 -k 2 --seeds 2 --noise 0.1
 run_family termination -n 5 6 --seeds 2
-run_family_vectorized termination -n 5 6 --seeds 2
 run_family_batched termination -n 5 6 --seeds 2
 run_family ablation -n 5 -k 2 --seeds 2
 run_family duality -n 6 --density 0.1 0.3 --seeds 2
 run_family eventual -n 5 --bad-rounds 0 2 --seeds 1
 run_family_batched eventual -n 5 --bad-rounds 0 2 --seeds 1
 run_family latency -n 5 6 --seeds 2 --noise 0.1
-run_family_vectorized latency -n 5 6 --seeds 2 --noise 0.1
 run_family_batched latency -n 5 6 --seeds 2 --noise 0.1
 echo "all families ran as campaigns (summaries backend-identical): OK"
 

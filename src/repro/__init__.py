@@ -53,7 +53,6 @@ from repro.engine import (
     agreement_grid,
     execute_scenario,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
     execute_scenarios,
     family_campaign,
@@ -150,7 +149,6 @@ __all__ = [
     "agreement_grid",
     "execute_scenario",
     "execute_scenario_batch",
-    "execute_scenario_vectorized",
     "execute_scenario_with_backend",
     "execute_scenarios",
     "family_campaign",

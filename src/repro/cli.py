@@ -22,7 +22,7 @@ a registered :class:`~repro.engine.registry.ExperimentSpec`; the
 per-family subcommands above are sugar over
 ``campaign run --family <name>`` and therefore all take ``--jobs N``,
 ``--store PATH`` (resume-by-hash), ``--backend
-{reference,vectorized,batched,auto}``, ``--batch-memory MIB`` (the
+{reference,batched,auto}``, ``--batch-memory MIB`` (the
 batch scheduler's per-batch envelope), ``--progress`` (stderr
 progress lines: completed/total, scenarios/s, batches, ETA) and
 ``--metrics[=PATH]`` (write the engine-telemetry sidecar,
@@ -70,6 +70,7 @@ from repro.adversaries.grouped import GroupedSourceAdversary
 from repro.analysis.properties import check_agreement_properties
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import decision_stats
+from repro.engine.backends import BACKENDS
 from repro.graphs.condensation import root_components
 from repro.predicates.psrcs import Psrcs
 
@@ -232,7 +233,7 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    "in-memory)")
     p.add_argument(
         "--backend",
-        choices=["reference", "vectorized", "batched", "auto"],
+        choices=BACKENDS,
         default=None,
         help="execution engine (default: the family's preference; "
         "metrics are identical across backends)",
@@ -1019,12 +1020,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (1 = serial)")
     p_crun.add_argument(
         "--backend",
-        choices=["reference", "vectorized", "batched", "auto"],
+        choices=BACKENDS,
         default=None,
         help="execution engine: the per-object reference simulator, the "
-        "per-scenario matrix fast path, the mega-batched fast path "
-        "(same-n scenarios stacked into one tensor program), or auto "
-        "(fast path with transparent fallback, preferring mega-batches); "
+        "mega-batched fast path (same-n scenarios stacked into one tensor "
+        "program), or auto (the fast path with transparent fallback); "
         "metrics and summaries are identical either way",
     )
     p_crun.add_argument("--timeout", type=float, default=None,

@@ -25,13 +25,12 @@ fleet-scale workload generator:
   shard file that :func:`absorb_shards` folds back on resume.
 * :mod:`repro.engine.backends` — **execution backends**: the reference
   :class:`~repro.rounds.simulator.RoundSimulator` vs the matrix fast
-  path (:mod:`repro.rounds.fastpath`), per scenario (``"vectorized"``)
-  or mega-batched across same-``n`` scenarios (``"batched"``), selected
-  via ``execute_scenarios(..., backend={"reference","vectorized",
-  "batched","auto"})``.  Metrics are identical across backends; ``auto``
-  falls back on :class:`FastPathUnsupported` and routes every
-  batch-compatible scenario through the batch scheduler's planned
-  batches.
+  path (:mod:`repro.rounds.fastpath`) mega-batched across same-``n``
+  scenarios (``"batched"``), selected via ``execute_scenarios(...,
+  backend={"reference","batched","auto"})``.  Metrics are identical
+  across backends; ``auto`` falls back on :class:`FastPathUnsupported`
+  and routes every batch-compatible scenario through the batch
+  scheduler's planned batches.
 * :mod:`repro.engine.scheduler` — the **lane-compacting batch
   scheduler**: plans a whole campaign work list into packed tensor
   batches (global ``(n, round-budget bucket)`` grouping, memory-envelope
@@ -111,9 +110,7 @@ from repro.engine.backends import (
     BACKENDS,
     batch_compatible,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
-    fastpath_supported,
 )
 from repro.engine.campaign import Campaign, CampaignReport, run_campaign
 from repro.engine.contracts import (
@@ -242,12 +239,10 @@ __all__ = [
     "batch_compatible",
     "execute_scenario",
     "execute_scenario_batch",
-    "execute_scenario_vectorized",
     "execute_scenario_with_backend",
     "execute_scenarios",
     "family_campaign",
     "family_names",
-    "fastpath_supported",
     "get_family",
     "group_results",
     "latency_table",

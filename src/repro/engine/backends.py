@@ -1,34 +1,36 @@
-"""Execution backends: reference simulator, vectorized and batched fast paths.
+"""Execution backends: the reference simulator and the batched fast path.
 
 One scenario can be executed three ways:
 
 * ``"reference"`` — :func:`repro.engine.executor.execute_scenario`: the
   per-object :class:`~repro.rounds.simulator.RoundSimulator`.  Supports
   everything (state histories, message recording, every algorithm).
-* ``"vectorized"`` — :func:`execute_scenario_vectorized`: the batched
-  matrix kernel in :mod:`repro.rounds.fastpath`, one scenario at a time.
-  Covers exactly the sweep/latency/distribution workloads (Algorithm 1,
-  summary metrics only) and raises :class:`FastPathUnsupported` for
-  anything else.
 * ``"batched"`` — :func:`execute_scenario_batch`: the *mega*-batched
   kernel (:func:`~repro.rounds.fastpath.simulate_fastpath_batch`): a
   group of same-``n`` scenarios stacked into one ``(S, n, ...)`` tensor
   program, so every ensemble round costs one set of kernel calls for the
-  whole group instead of one per scenario.  Scenario grouping happens at
-  the work-list level by the batch scheduler
-  (:mod:`repro.engine.scheduler`): batch-compatible specs are grouped
-  *globally* by ``(n, round-budget bucket)`` and packed into planned
-  batches capped by the
+  whole group instead of one per scenario.  Covers exactly the
+  sweep/latency/distribution workloads (Algorithm 1, summary metrics
+  only) and reports anything else as a ``FastPathUnsupported`` error.
+  Scenario grouping happens at the work-list level by the batch
+  scheduler (:mod:`repro.engine.scheduler`): batch-compatible specs are
+  grouped *globally* by ``(n, round-budget bucket)`` and packed into
+  planned batches capped by the
   :func:`~repro.rounds.fastpath.default_batch_size` memory envelope;
   the kernel compacts live lanes as batchmates retire and refills freed
   width from the batch's pending lanes.
 * ``"auto"`` — prefer the fast path, transparently fall back to the
   reference simulator when the scenario is out of its scope.  On a work
   list, ``auto`` routes every batch-compatible scenario through the
-  scheduler's planned batches (singletons included, so provenance tags
-  stay partition-independent).
+  scheduler's planned batches, and on one scenario it runs a one-lane
+  batch, so provenance tags stay partition-independent.
 
-All backends are *exactly equivalent* where they overlap: the fast paths
+The single-lane kernel (:func:`~repro.rounds.fastpath.simulate_fastpath`,
+run on a spec by :func:`simulate_single_lane`) is no backend: it is the
+reference kernel that the lane-identity contract, the fuzz family, the
+tests and the FASTPATH bench hold the batched kernel to.
+
+All engines are *exactly equivalent* where they overlap: the fast paths
 consume bit-identical adversary schedules
 (:meth:`~repro.adversaries.base.Adversary.adjacency_stack`) and mirror
 Algorithm 1's update order, so the resulting metrics — and therefore the
@@ -54,7 +56,11 @@ from typing import Callable, Sequence
 from repro.analysis.stats import DecisionStats
 from repro.engine.contracts import ContractViolation, contract
 from repro.engine.contracts import get as _get_contracts
-from repro.engine.executor import ScenarioResult, execute_scenario
+from repro.engine.executor import (
+    STATUS_ERROR,
+    ScenarioResult,
+    execute_scenario,
+)
 from repro.engine.scenarios import ScenarioSpec
 from repro.graphs.matrices import root_component_count_matrix
 from repro.predicates.psrcs import Psrcs
@@ -67,18 +73,22 @@ from repro.rounds.fastpath import (
 )
 
 BACKEND_REFERENCE = "reference"
-BACKEND_VECTORIZED = "vectorized"
 BACKEND_BATCHED = "batched"
 BACKEND_AUTO = "auto"
-BACKENDS = (
-    BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
-    BACKEND_BATCHED,
-    BACKEND_AUTO,
-)
+BACKENDS = (BACKEND_REFERENCE, BACKEND_BATCHED, BACKEND_AUTO)
 
 # Algorithms the fast path covers; everything else falls back/raises.
 _FASTPATH_ALGORITHMS = frozenset({"algorithm1"})
+
+
+def check_backend(backend: str) -> str:
+    """``backend`` itself if it names a backend; a ``ValueError`` naming
+    the known ones otherwise."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
+        )
+    return backend
 
 
 class SkeletonCache:
@@ -134,29 +144,30 @@ class SkeletonCache:
 skeleton_cache = SkeletonCache()
 
 
-def fastpath_supported(spec: ScenarioSpec) -> bool:
-    """Whether the fast-path kernels cover this scenario's algorithm."""
-    return spec.algorithm in _FASTPATH_ALGORITHMS
+def _fast_builder(spec: ScenarioSpec) -> Callable:
+    """The fast-path result builder for ``spec``: the stock metric schema
+    (:func:`_stock_result`) for untagged specs and stock-runner families,
+    or a family's registered fast twin (``ExperimentSpec.fast_result``).
 
-
-def _family_fast_result(spec: ScenarioSpec):
-    """The family-specific fast-twin result builder for a tagged spec.
-
-    ``None`` means the stock metric schema applies (untagged specs and
-    stock-runner families).  A tagged family whose custom runner has no
-    registered fast twin — or whose ``fast_supported`` predicate
-    excludes this particular spec (e.g. the ablation family's
-    invariant-hook arm) — raises :class:`FastPathUnsupported`, so forced
-    fast backends report it and ``auto`` falls back to the family runner.
+    Raises :class:`FastPathUnsupported` for an algorithm the kernels do
+    not run, a custom-runner family without a twin, or a spec its
+    family's ``fast_supported`` predicate excludes (e.g. the ablation
+    family's invariant-hook arm), so a forced ``batched`` backend
+    reports it and ``auto`` falls back.  An unknown family raises
+    ``KeyError``.
     """
+    if spec.algorithm not in _FASTPATH_ALGORITHMS:
+        raise FastPathUnsupported(
+            f"algorithm {spec.algorithm!r} has no fast path"
+        )
     name = spec.opt("family")
     if name is None:
-        return None
+        return _stock_result
     from repro.engine.registry import get_family
 
     family = get_family(name)
     if family.runner is None:
-        return None
+        return _stock_result
     if family.fast_result is None:
         raise FastPathUnsupported(
             f"family {name!r} runs only on the reference simulator"
@@ -169,29 +180,13 @@ def _family_fast_result(spec: ScenarioSpec):
 
 
 def batch_compatible(spec: ScenarioSpec) -> bool:
-    """Whether this spec can join a mega-batch.
-
-    True for fast-path-supported specs whose result schema the batch
-    layer knows how to build: the stock schema, or a registered family
-    fast twin (``ExperimentSpec.fast_result``) whose ``fast_supported``
-    predicate (if any) accepts the spec.
-    """
-    if not fastpath_supported(spec):
-        return False
-    name = spec.opt("family")
-    if name is None:
-        return True
-    from repro.engine.registry import get_family
-
+    """Whether this spec can join a mega-batch: the batch layer knows how
+    to build its result (see :func:`_fast_builder`)."""
     try:
-        family = get_family(name)
-    except KeyError:
+        _fast_builder(spec)
+    except (FastPathUnsupported, KeyError):
         return False
-    if family.runner is None:
-        return True
-    if family.fast_result is None:
-        return False
-    return family.fast_supported is None or family.fast_supported(spec)
+    return True
 
 
 def fastpath_decision_stats(
@@ -288,52 +283,22 @@ def _fastpath_task(spec: ScenarioSpec, adversary) -> FastPathTask:
     )
 
 
-def execute_scenario_vectorized(
-    spec: ScenarioSpec, recorder=None
-) -> ScenarioResult:
-    """Run one scenario through the per-scenario matrix fast path.
-
-    Raises
-    ------
-    FastPathUnsupported
-        When the scenario is outside the fast path's scope (so ``auto``
-        can fall back *before* any work is done).  Every other exception
-        is contained into an ``"error"`` result, mirroring
-        :func:`~repro.engine.executor.execute_scenario`.
-    """
-    if not fastpath_supported(spec):
-        raise FastPathUnsupported(
-            f"algorithm {spec.algorithm!r} has no vectorized fast path"
-        )
-    builder = _family_fast_result(spec) or _stock_result
-    try:
-        adversary = spec.build_adversary()
-        task = _fastpath_task(spec, adversary)
-        fast = simulate_fastpath(
-            task.adjacency,
-            list(task.initial_values),
-            purge_window=task.purge_window,
-            prune_unreachable=task.prune_unreachable,
-            max_rounds=task.max_rounds,
-            recorder=recorder,
-        )
-        return replace(
-            builder(spec, fast, adversary), backend=BACKEND_VECTORIZED
-        )
-    except FastPathUnsupported:
-        raise
-    except ContractViolation as exc:
-        # A violated invariant must abort loudly, never become an
-        # "error" journal record a resume would treat as settled.
-        raise exc.with_context(
-            id=spec.scenario_id, seed=spec.seed, backend=BACKEND_VECTORIZED
-        ) from exc
-    except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        return ScenarioResult.failure(
-            spec,
-            f"{type(exc).__name__}: {exc}",
-            backend=BACKEND_VECTORIZED,
-        )
+def simulate_single_lane(spec: ScenarioSpec) -> tuple[FastPathRun, object]:
+    """``(run, adversary)``: ``spec`` run alone through the single-lane
+    reference kernel (:func:`~repro.rounds.fastpath.simulate_fastpath`)
+    on a fresh adversary.  The caller owns the scope: the spec must be an
+    Algorithm-1 one.  ``_stock_result(spec, *simulate_single_lane(spec))``
+    is the stock record the batched backend must reproduce."""
+    adversary = spec.build_adversary()
+    task = _fastpath_task(spec, adversary)
+    run = simulate_fastpath(
+        task.adjacency,
+        list(task.initial_values),
+        purge_window=task.purge_window,
+        prune_unreachable=task.prune_unreachable,
+        max_rounds=task.max_rounds,
+    )
+    return run, adversary
 
 
 @contract(
@@ -363,7 +328,7 @@ def execute_scenario_batch(
     envelope; surplus lanes refill freed width as batchmates retire);
     it is a pure execution-shape knob: results are bit-identical
     whatever its value.
-    Isolation mirrors the per-scenario backends:
+    Isolation mirrors the reference backend:
 
     * a spec the fast path cannot cover, or whose adversary construction
       fails, becomes an ``"error"`` result without poisoning the batch;
@@ -381,11 +346,7 @@ def execute_scenario_batch(
     tasks: list[FastPathTask] = []
     for pos, spec in enumerate(specs):
         try:
-            if not fastpath_supported(spec):
-                raise FastPathUnsupported(
-                    f"algorithm {spec.algorithm!r} has no vectorized fast path"
-                )
-            builder = _family_fast_result(spec) or _stock_result
+            builder = _fast_builder(spec)
             adversary = spec.build_adversary()
             tasks.append(_fastpath_task(spec, adversary))
             lanes.append((pos, spec, adversary, builder))
@@ -403,8 +364,14 @@ def execute_scenario_batch(
                 tasks, width=width, recorder=recorder
             )
         except ContractViolation as exc:
+            # A one-lane batch (a single-scenario dispatch) names its spec.
+            one_lane = (
+                {"id": lanes[0][1].scenario_id, "seed": lanes[0][1].seed}
+                if len(lanes) == 1 else {}
+            )
             raise exc.with_context(
                 backend=BACKEND_BATCHED, lanes=len(lanes), width=width,
+                **one_lane,
             ) from exc
         except Exception as exc:  # noqa: BLE001 — isolate, then retry solo
             if len(lanes) == 1:
@@ -482,15 +449,7 @@ def _verify_lane_identity(contracts, lanes, runs, width) -> None:
     lane = int(digest[:8], 16) % len(lanes)
     _pos, spec, _adversary, _builder = lanes[lane]
     batched = runs[lane]
-    adversary = spec.build_adversary()
-    task = _fastpath_task(spec, adversary)
-    solo = simulate_fastpath(
-        task.adjacency,
-        list(task.initial_values),
-        purge_window=task.purge_window,
-        prune_unreachable=task.prune_unreachable,
-        max_rounds=task.max_rounds,
-    )
+    solo, _ = simulate_single_lane(spec)
     fields = lambda run: {  # noqa: E731 — tiny local projection
         "num_rounds": run.num_rounds,
         "all_decided": run.all_decided(),
@@ -517,28 +476,40 @@ def execute_scenario_with_backend(
 ) -> ScenarioResult:
     """Dispatch one scenario to a backend (the executor's worker kernel).
 
-    ``"auto"`` prefers the fast path and silently falls back to the
-    reference simulator on :class:`FastPathUnsupported`.  A *forced*
-    ``"vectorized"`` or ``"batched"`` backend instead reports unsupported
-    scenarios as ``"error"`` results — an explicit choice must not
-    silently execute on a different engine.  (``"batched"`` on a single
-    scenario runs a one-lane batch: semantically the vectorized kernel,
-    tagged ``"batched"`` so provenance does not depend on grouping.)
+    On one scenario both fast backends run a one-lane batch, tagged
+    ``"batched"`` so provenance does not depend on grouping.  ``"auto"``
+    silently falls back to the reference simulator when the fast path
+    declines the scenario (see :func:`auto_fast_result`).  A *forced*
+    ``"batched"`` backend instead reports it as an ``"error"`` result —
+    an explicit choice must not silently execute on a different engine.
     """
-    if backend == BACKEND_REFERENCE:
+    if check_backend(backend) == BACKEND_REFERENCE:
         return execute_scenario(spec)
-    if backend == BACKEND_VECTORIZED:
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported as exc:
-            return ScenarioResult.failure(
-                spec, f"FastPathUnsupported: {exc}", backend=BACKEND_VECTORIZED
-            )
     if backend == BACKEND_BATCHED:
         return execute_scenario_batch([spec], recorder=recorder)[0]
-    if backend == BACKEND_AUTO:
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported:
-            return execute_scenario(spec)
-    raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    result = auto_fast_result(spec, recorder=recorder)
+    return execute_scenario(spec) if result is None else result
+
+
+def fast_path_declined(result: ScenarioResult) -> bool:
+    """Whether ``result`` is the batched backend's ``FastPathUnsupported``
+    error record: the scenario is out of the fast path's scope, and
+    ``auto`` runs it on its fallback engine instead."""
+    return (
+        result.status == STATUS_ERROR
+        and result.error is not None
+        and result.error.startswith("FastPathUnsupported: ")
+    )
+
+
+def auto_fast_result(spec: ScenarioSpec, recorder=None):
+    """``auto``'s fast attempt on one scenario: its one-lane batch
+    result, or ``None`` when the fast path declines it, up front
+    (:func:`batch_compatible`) or lazily (an adversary whose schedule
+    API raises :class:`FastPathUnsupported`).  On ``None`` the caller
+    runs its fallback engine: the reference simulator, or the family
+    runner for a tagged spec."""
+    if not batch_compatible(spec):
+        return None
+    result = execute_scenario_batch([spec], recorder=recorder)[0]
+    return None if fast_path_declined(result) else result

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.engine.backends import check_backend
 from repro.engine.contracts import checks_mark, record_checks
 from repro.engine.dispatch import absorb_shards
 from repro.engine.executor import (
@@ -202,8 +203,9 @@ class Campaign:
         Default per-scenario time budget in seconds.
     backend:
         Default execution engine for :meth:`run`: ``"reference"``,
-        ``"vectorized"``, ``"batched"`` or ``"auto"`` (see
-        :mod:`repro.engine.backends`).
+        ``"batched"`` or ``"auto"`` (see :mod:`repro.engine.backends`);
+        any other name raises ``ValueError`` here and in :meth:`run`,
+        before any work.
     batch_memory:
         Per-batch memory envelope in bytes for the batched/auto
         backends (``None``: the built-in budget).  A pure packing knob
@@ -244,7 +246,7 @@ class Campaign:
         )
         self.jobs = jobs
         self.timeout = timeout
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.batch_memory = batch_memory
         self.label = label
         self.max_retries = max_retries
@@ -319,6 +321,9 @@ class Campaign:
         fleet coordinator left next to the journal is folded into it
         first.
         """
+        resolved_backend = (
+            self.backend if backend is None else check_backend(backend)
+        )
         rec = NULL if recorder is None else recorder
         # Contract checks this process runs (workers record their own).
         mark = checks_mark() if rec else None
@@ -346,7 +351,6 @@ class Campaign:
             self.store.recorder = rec
             rec.inc("store.resume_hits", len(self.specs) - len(todo))
 
-        resolved_backend = self.backend if backend is None else backend
         resolved_jobs = self.jobs if jobs is None else jobs
         # One plan serves both the progress reporter and the executor,
         # so the work list is planned exactly once and the reported

@@ -525,9 +525,9 @@ def execute_scenarios(
         journals through this.
     backend:
         Execution engine per scenario: ``"reference"`` (default),
-        ``"vectorized"``, ``"batched"`` (scheduler-planned mega-batches
-        of same-``n`` scenarios through one tensor program) or
-        ``"auto"`` — see :mod:`repro.engine.backends`.
+        ``"batched"`` (scheduler-planned mega-batches of same-``n``
+        scenarios through one tensor program) or ``"auto"`` — see
+        :mod:`repro.engine.backends`.
     batch_memory:
         Per-batch memory envelope in bytes for the batched/auto
         backends (``None``: the built-in budget) — a pure packing knob,

@@ -12,7 +12,7 @@ all of that with one abstraction:
 Every family is a ~50-line configuration of the campaign engine, and every
 family therefore gets the engine's whole feature set for free: ``--jobs N``
 parallelism, resume-by-hash journaling, crash isolation,
-``--backend {reference,vectorized,auto}``, canonical byte-identical
+``--backend {reference,batched,auto}``, canonical byte-identical
 summaries, and store-native aggregation via :mod:`repro.engine.aggregate`.
 
 How a family plugs in
@@ -96,9 +96,8 @@ class ExperimentSpec:
         ``(spec, FastPathRun, adversary) -> ScenarioResult`` builder that
         reproduces the runner's result record (metrics *and* extras,
         byte-identical) from a finished fast-path run.  Families with a
-        twin execute on the vectorized/batched backends — including the
-        mega-batched kernel, which stacks their scenarios with any other
-        compatible same-``n`` work.
+        twin execute on the batched backend, which stacks their
+        scenarios with any other compatible same-``n`` work.
     fast_supported:
         Optional per-spec scope predicate for the twin: ``spec -> bool``.
         A family whose twin covers only *some* of its arms (the ablation
@@ -107,7 +106,7 @@ class ExperimentSpec:
         specs raise ``FastPathUnsupported`` at the backend layer, so
         ``auto`` transparently falls back to the family runner per spec.
         Partial coverage cannot be *forced*: ``supports_backend``
-        rejects explicit vectorized/batched requests for such families.
+        rejects explicit batched requests for such families.
     aggregate:
         Store-native aggregator (``campaign report --aggregate``), or
         ``None`` for the generic latency percentile table.
@@ -148,11 +147,11 @@ class ExperimentSpec:
         """Whether a *forced* backend choice can execute this family.
 
         Partial fast-path coverage (a ``fast_supported`` predicate) is
-        an ``auto``-only affair: forcing vectorized/batched on a family
-        whose reference-only arms would come back as errors is rejected
-        up front instead.
+        an ``auto``-only affair: forcing batched on a family whose
+        reference-only arms would come back as errors is rejected up
+        front instead.
         """
-        if backend in ("vectorized", "batched"):
+        if backend == "batched":
             return self.vectorizable and (
                 self.runner is None
                 or (self.fast_result is not None and self.fast_supported is None)
@@ -259,23 +258,21 @@ def run_registered_scenario(
 
         return execute_scenario_with_backend(spec, backend, recorder=recorder)
     if family.fast_result is not None and backend != "reference":
-        # The family registered a fast-path twin of its runner: forced
-        # fast backends run it (the twin builds the runner's exact result
-        # record from a FastPathRun), and ``auto`` prefers it with the
-        # usual transparent fallback to the family runner.
+        # The family registered a fast-path twin of its runner: a forced
+        # batched backend runs it (the twin builds the runner's exact
+        # result record from a FastPathRun), and ``auto`` prefers it with
+        # the usual transparent fallback to the family runner.
         from repro.engine.backends import (
-            FastPathUnsupported,
-            execute_scenario_vectorized,
-            execute_scenario_with_backend,
+            auto_fast_result,
+            execute_scenario_batch,
         )
 
-        if backend in ("vectorized", "batched"):
-            return execute_scenario_with_backend(spec, backend, recorder=recorder)
-        try:
-            return execute_scenario_vectorized(spec, recorder=recorder)
-        except FastPathUnsupported:
-            pass
-    elif backend in ("vectorized", "batched"):
+        if backend == "batched":
+            return execute_scenario_batch([spec], recorder=recorder)[0]
+        result = auto_fast_result(spec, recorder=recorder)
+        if result is not None:
+            return result
+    elif backend == "batched":
         # A forced fast-path request must not silently execute the
         # family's bespoke reference-only logic.
         return ScenarioResult.failure(

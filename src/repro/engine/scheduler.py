@@ -55,8 +55,10 @@ from typing import Iterable, TextIO
 
 from repro.engine.backends import (
     BACKEND_AUTO,
+    BACKEND_REFERENCE,
     batch_compatible,
     execute_scenario_batch,
+    fast_path_declined,
 )
 from repro.engine.contracts import contract
 from repro.engine.contracts import get as _get_contracts
@@ -314,12 +316,11 @@ def run_planned_batch(
 
     The kernel runs ``batch.width`` concurrent lanes, refilling freed
     width from the batch's own pending lanes.  Under ``"auto"`` a lane
-    the fast path turns out not to cover re-runs through the
-    per-scenario ``auto`` dispatch (and thus the reference simulator)
-    instead of surfacing a forced-backend error, exactly as the
-    pre-scheduler segmentation did.
+    the fast path turns out not to cover re-runs on ``auto``'s fallback
+    engine (the reference simulator, or the family runner of a tagged
+    spec) instead of surfacing a forced-backend error.
     """
-    from repro.engine.executor import STATUS_ERROR, _run_one
+    from repro.engine.executor import _run_one
 
     specs = [spec for _, spec in batch.items]
     results = execute_scenario_batch(
@@ -327,10 +328,8 @@ def run_planned_batch(
     )
     if backend == BACKEND_AUTO:
         results = [
-            _run_one(spec, BACKEND_AUTO, recorder=recorder)
-            if result.status == STATUS_ERROR
-            and result.error is not None
-            and result.error.startswith("FastPathUnsupported: ")
+            _run_one(spec, BACKEND_REFERENCE)
+            if fast_path_declined(result)
             else result
             for spec, result in zip(specs, results)
         ]

@@ -136,7 +136,7 @@ def fastpath_eventual_result(spec, fast, adversary) -> "ScenarioResult":
 
     Builds the exact same result record — metrics *and* extras — from a
     finished :class:`~repro.rounds.fastpath.FastPathRun`, so the eventual
-    family executes on the vectorized/batched backends with byte-identical
+    family executes on the batched backend with byte-identical
     canonical summaries (the differential suite pins this)."""
     from repro.engine.backends import fastpath_decision_stats
     from repro.engine.executor import ScenarioResult

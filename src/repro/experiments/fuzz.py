@@ -5,7 +5,8 @@ size, adversary, topology, noise, seed, purge window — executed on every
 execution engine the repo ships:
 
 * the reference :class:`~repro.rounds.simulator.RoundSimulator`,
-* the per-scenario vectorized fast path, and
+* the single-lane kernel (:func:`~repro.rounds.fastpath.simulate_fastpath`,
+  labelled ``solo``), and
 * the mega-batched kernel, both alone and stacked with same-``n``
   sibling scenarios, across sampled kernel ``width`` caps.
 
@@ -51,10 +52,11 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.engine.backends import (
-    FastPathUnsupported,
+    _stock_result,
     execute_scenario_batch,
-    execute_scenario_vectorized,
+    simulate_single_lane,
 )
+from repro.engine.contracts import ContractViolation
 from repro.engine.executor import ScenarioResult, execute_scenario
 from repro.engine.registry import ExperimentSpec, register
 from repro.engine.scenarios import ScenarioSpec
@@ -196,6 +198,19 @@ def _normalize(result: ScenarioResult, base: ScenarioSpec) -> str:
     return canonical_line(replace(result, spec=base, backend="reference"))
 
 
+def _solo_line(base: ScenarioSpec) -> str:
+    """The canonical line of ``base`` on the single-lane kernel; a build
+    or run that raises renders as the error record the other engines
+    write for it."""
+    try:
+        result = _stock_result(base, *simulate_single_lane(base))
+    except ContractViolation:
+        raise
+    except Exception as exc:  # noqa: BLE001 — isolation is the contract
+        result = ScenarioResult.failure(base, f"{type(exc).__name__}: {exc}")
+    return _normalize(result, base)
+
+
 def _run_engines(
     base: ScenarioSpec,
     siblings: Sequence[ScenarioSpec],
@@ -203,18 +218,13 @@ def _run_engines(
 ) -> tuple[str, dict[str, str]]:
     """Oracle line + per-engine canonical lines for ``base``.  The
     oracle is the reference simulator, or from ``n = 16`` the
-    single-lane kernel (the ``vectorized`` backend)."""
+    single-lane kernel."""
     got: dict[str, str] = {}
     if base.n >= min(_WIDE_NS):
-        want = _normalize(execute_scenario_vectorized(base), base)
+        want = _solo_line(base)
     else:
         want = _normalize(execute_scenario(base), base)
-        try:
-            got["vectorized"] = _normalize(
-                execute_scenario_vectorized(base), base
-            )
-        except FastPathUnsupported:
-            pass
+        got["solo"] = _solo_line(base)
     group = [base, *siblings]
     label = f"batched[w={width},lanes={len(group)}]"
     batched = execute_scenario_batch(group, width=width)

@@ -142,7 +142,7 @@ def agreement_sweep(
     count ``m <= k``, run Algorithm 1 and record root components, predicate
     status and decision-value counts.
 
-    ``backend`` defaults to ``"auto"`` (vectorized fast path with
+    ``backend`` defaults to ``"auto"`` (the batched fast path with
     transparent fallback) — metrics are identical either way."""
     grid = agreement_grid(
         ns, ks, seeds, noises=(noise,), topology=topology

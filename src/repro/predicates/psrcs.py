@@ -160,8 +160,8 @@ class Psrcs(Predicate):
         (:func:`repro.graphs.matrices.conflict_matrix`, cross-validated
         against :func:`conflict_graph`); the independence test is the same
         exact branch-and-bound solver, so the verdict is identical to the
-        set-based checker on the same skeleton.  Used by the vectorized
-        execution backend, which never materializes a :class:`DiGraph`.
+        set-based checker on the same skeleton.  Used by the fast-path
+        kernels' result builder, which never materializes a :class:`DiGraph`.
         """
         from repro.graphs.matrices import conflict_matrix
 

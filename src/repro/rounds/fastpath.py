@@ -188,10 +188,11 @@ def simulate_fastpath(
     purge_window: int | None = None,
     prune_unreachable: bool = True,
     max_rounds: int | None = None,
-    recorder=None,
 ) -> FastPathRun:
     """Execute Algorithm 1 with distinct-per-process tensor state.
 
+    The single-lane reference kernel: no backend runs it; the batched
+    kernel's contracts, the fuzz family and the tests compare against it.
     Every process hears from itself each round (the paper's convention),
     and the run stops at the first round after which every process has
     decided: the defaults of
@@ -219,10 +220,6 @@ def simulate_fastpath(
     max_rounds:
         Round budget; required with a schedule provider, defaults to the
         tensor length otherwise.
-    recorder:
-        Optional :class:`~repro.engine.telemetry.Recorder`.  Kernel
-        counters are accumulated in plain locals and flushed once at
-        (successful) return, so the disabled path costs one branch.
     """
     n = len(initial_values)
     provider, max_rounds = _normalize_schedule(adjacency, n, max_rounds)
@@ -243,17 +240,12 @@ def simulate_fastpath(
     schedule = np.zeros((max_rounds, n, n), dtype=bool)
     filled = 0
     block = max(n + 1, 8)
-    rng_fetches = rng_tail_fetches = rng_rounds_fetched = 0
 
     def ensure(upto: int) -> None:
-        nonlocal filled, rng_fetches, rng_tail_fetches, rng_rounds_fetched
+        nonlocal filled
         upto = min(max(upto, min(filled + block, max_rounds)), max_rounds)
         if upto <= filled:
             return
-        rng_fetches += 1
-        if filled > 0:
-            rng_tail_fetches += 1
-        rng_rounds_fetched += upto - filled
         fetched = np.asarray(
             provider(upto - filled, filled + 1), dtype=bool
         )
@@ -382,21 +374,6 @@ def simulate_fastpath(
             num_rounds = r
             break
 
-    if recorder:
-        # Deterministic plane: pure functions of the scenario.
-        recorder.inc("kernel.lanes")
-        recorder.inc("kernel.lane_rounds", num_rounds)
-        recorder.observe("kernel.lane_rounds", num_rounds)
-        recorder.inc("kernel.decisions", int(decided.sum()))
-        recorder.inc("kernel.rng_fetches", rng_fetches)
-        recorder.inc("kernel.rng_tail_fetches", rng_tail_fetches)
-        recorder.inc("kernel.rng_rounds_fetched", rng_rounds_fetched)
-        # Volatile plane: one loop iteration == one closure call here.
-        recorder.vinc("kernel.loop_rounds", num_rounds)
-        recorder.vinc("kernel.closure_calls", num_rounds)
-        recorder.vinc(
-            "kernel.closure_iterations", num_rounds * _closure_iterations(n)
-        )
     return FastPathRun(
         n=n,
         num_rounds=num_rounds,

@@ -1,8 +1,10 @@
-"""Differential testing: the mega-batched backend vs vectorized vs reference.
+"""Differential testing: the mega-batched backend vs single-lane vs reference.
 
-The batched backend is the third execution engine for Algorithm 1
+The batched backend is the fast execution engine for Algorithm 1
 scenarios, and its correctness rests entirely on *exact* equivalence with
-the other two: same decision rounds, same decision values, same skeleton
+the reference simulator and the single-lane kernel
+(:func:`~repro.engine.backends.simulate_single_lane`): same decision
+rounds, same decision values, same skeleton
 statistics, same canonical JSON line — for every scenario, under every
 batch partition, at every worker count.  This suite pins that down three
 ways:
@@ -10,7 +12,7 @@ ways:
 * a **randomized differential grid** over ``n = 2..12`` × the four core
   adversary families (grouped, crash, partition, static) × noise /
   topology / ablation knobs, asserting canonical-line equality across all
-  three backends (singleton and grouped batches);
+  three engines (singleton and grouped batches);
 * a **batching-invariance property**: for a fixed seed set, the results
   — including the journaled record bytes — are identical whatever the
   batch partition (sizes 1, 2, S, shuffled groupings) and identical
@@ -21,13 +23,13 @@ ways:
 * a **heterogeneous-latency grid** (mixed noise/adversary, so lanes of
   one batch retire at wildly different rounds) pinning that the
   kernel's lane **compaction** and width **refill** are invisible in
-  the results: canonical lines equal across all three backends, each
+  the results: canonical lines equal across all three engines, each
   lane equal to its single-lane run at every kernel width, journal
   bytes invariant under batch shuffle, a degenerate
   ``--batch-memory`` envelope and ``--jobs {1, 2, 4}``;
 * a **wide-lane grid** at ``n = 16/24/32``, where the NumPy merge
   gathers only the ``PT_p`` senders and the closure squares each
-  distinct approximation graph once: batched vs vectorized canonical
+  distinct approximation graph once: batched vs single-lane canonical
   lines (the single-lane kernel keeps the dense merge and the plain
   closure, an independent reference) and journal bytes under
   ``--jobs 2`` and a packed 24 -> 32 batch;
@@ -36,7 +38,8 @@ ways:
   its single-lane run (always int32).
 
 ``scripts/smoke.sh`` additionally byte-compares whole campaign summaries
-produced by the three backends through the CLI on every change.
+produced by the reference, batched and auto backends through the CLI on
+every change.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from repro.engine.backends import (
     BACKEND_AUTO,
     BACKEND_BATCHED,
     BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
+    _stock_result,
     batch_compatible,
     execute_scenario_batch,
-    execute_scenario_vectorized,
     execute_scenario_with_backend,
+    simulate_single_lane,
 )
 from repro.engine.campaign import Campaign
 from repro.engine.executor import execute_scenario, execute_scenarios
@@ -135,8 +138,13 @@ def _differential_grid() -> list[ScenarioSpec]:
 DIFFERENTIAL_GRID = _differential_grid()
 
 
+def _solo_result(spec):
+    """The stock record of ``spec`` run alone on the single-lane kernel."""
+    return _stock_result(spec, *simulate_single_lane(spec))
+
+
 class TestDifferentialGrid:
-    """reference ≡ vectorized ≡ batched, scenario by scenario."""
+    """reference ≡ single-lane ≡ batched, scenario by scenario."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -145,14 +153,12 @@ class TestDifferentialGrid:
     )
     def test_three_backends_agree(self, spec):
         reference = execute_scenario(spec)
-        vectorized = execute_scenario_vectorized(spec)
         batched = execute_scenario_with_backend(spec, BACKEND_BATCHED)
         assert reference.status == "ok", reference.error
-        assert vectorized.status == "ok", vectorized.error
         assert batched.status == "ok", batched.error
         # One line covers every metric field and the decision values.
         line = canonical_line(reference)
-        assert canonical_line(vectorized) == line
+        assert canonical_line(_solo_result(spec)) == line
         assert canonical_line(batched) == line
         assert batched.backend == BACKEND_BATCHED
 
@@ -293,7 +299,7 @@ class TestBatchingInvariance:
 
     def test_campaign_summaries_byte_identical_across_backends(self, tmp_path):
         payloads = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED, BACKEND_BATCHED):
+        for backend in (BACKEND_REFERENCE, BACKEND_BATCHED, BACKEND_AUTO):
             campaign = Campaign(
                 FIXED_SPECS,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -304,8 +310,8 @@ class TestBatchingInvariance:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             payloads[backend] = summary.read_bytes()
-        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_VECTORIZED]
         assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_BATCHED]
+        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_AUTO]
 
     def test_resume_across_batched_and_reference(self, tmp_path):
         # A journal written by the batched backend satisfies resume for
@@ -568,7 +574,7 @@ class TestCompactionEquivalence:
     )
     def test_three_backends_agree_on_hetero_grid(self, spec):
         line = canonical_line(execute_scenario(spec))
-        assert canonical_line(execute_scenario_vectorized(spec)) == line
+        assert canonical_line(_solo_result(spec)) == line
         assert canonical_line(
             execute_scenario_with_backend(spec, BACKEND_BATCHED)
         ) == line
@@ -597,7 +603,7 @@ class TestCompactionEquivalence:
 
     def test_hetero_summaries_byte_identical_across_backends(self, tmp_path):
         payloads = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED, BACKEND_BATCHED):
+        for backend in (BACKEND_REFERENCE, BACKEND_BATCHED, BACKEND_AUTO):
             campaign = Campaign(
                 HETERO_GRID,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -608,8 +614,8 @@ class TestCompactionEquivalence:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             payloads[backend] = summary.read_bytes()
-        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_VECTORIZED]
         assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_BATCHED]
+        assert payloads[BACKEND_REFERENCE] == payloads[BACKEND_AUTO]
 
     def test_tiny_batch_memory_envelope_keeps_journal_bytes(self, tmp_path):
         # campaign run --batch-memory: a degenerate 1-MiB envelope packs
@@ -718,13 +724,14 @@ class TestFamilyBatched:
         )
 
     def test_partial_coverage_family_rejects_forced_fast_backends(self):
-        # Partial fast-path coverage is auto-only: forcing batched or
-        # vectorized on the ablation family is rejected up front (its
-        # reference-only arms would come back as error records).
+        # Partial fast-path coverage is auto-only: forcing batched on the
+        # ablation family is rejected up front (its reference-only arms
+        # would come back as error records).  The retired per-scenario
+        # backend name is no backend at all.
         with pytest.raises(ValueError, match="does not support"):
             family_campaign("ablation", backend=BACKEND_BATCHED)
-        with pytest.raises(ValueError, match="does not support"):
-            family_campaign("ablation", backend=BACKEND_VECTORIZED)
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            family_campaign("ablation", backend="vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -819,7 +826,7 @@ class TestCrossWidthPacking:
             line = canonical_line(result)
             assert line == canonical_line(own)
             assert line == canonical_line(execute_scenario(spec))
-            assert line == canonical_line(execute_scenario_vectorized(spec))
+            assert line == canonical_line(_solo_result(spec))
 
     # Pool runs against the serial journal, unsorted: serial and pool
     # run one plan.
@@ -938,7 +945,7 @@ class TestWideLaneEquivalence:
     to the single-lane kernel's dense merge and plain closure, under
     width caps and packing."""
 
-    def test_batched_matches_vectorized(self, closure_inputs, monkeypatch):
+    def test_batched_matches_single_lane(self, closure_inputs, monkeypatch):
         from repro.rounds.array_backend import KernelNamespace
 
         handed: dict[int, int] = {}
@@ -962,7 +969,7 @@ class TestWideLaneEquivalence:
         for spec, result in zip(WIDE_GRID, batched):
             assert result.status == "ok", result.error
             assert canonical_line(result) == canonical_line(
-                execute_scenario_vectorized(spec)
+                _solo_result(spec)
             ), spec
 
     def test_packed_kernel_matches_singletons(self):

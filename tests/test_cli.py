@@ -121,7 +121,7 @@ class TestCommands:
 
     def test_family_backend_rejected_for_custom_runner(self, capsys):
         code = main(["ablation", "-n", "5", "-k", "2", "--seeds", "1",
-                     "--backend", "vectorized"])
+                     "--backend", "batched"])
         assert code == 2
         assert "does not support backend" in capsys.readouterr().out
 
@@ -132,6 +132,15 @@ class TestCampaignCommands:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
+
+    @pytest.mark.parametrize("command", [["campaign", "run"], ["sweep"]])
+    def test_retired_backend_exits_2(self, capsys, tmp_path, command):
+        store = str(tmp_path / "journal.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--store", store, "--backend", "vectorized"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+        assert not (tmp_path / "journal.jsonl").exists()
 
     def test_run_status_report(self, capsys, tmp_path):
         store = str(tmp_path / "journal.jsonl")

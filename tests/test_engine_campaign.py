@@ -65,6 +65,46 @@ class TestCampaignBasics:
         results = run_campaign(small_grid(), store=tmp_path / "j.jsonl")
         assert len(results) == 12 and all(r.ok for r in results)
 
+    def test_unknown_backend_rejected_before_any_work(self, tmp_path):
+        # A pool run must not start workers that journal one retriable
+        # "chunk failed: ValueError" timeout per unit: the constructor
+        # and run()'s override both refuse the name first.
+        store = tmp_path / "j.jsonl"
+        known = "known: reference, batched, auto"
+        with pytest.raises(ValueError, match=f"'warp-drive'; {known}"):
+            Campaign(small_grid(), store=store, backend="warp-drive", jobs=2)
+        campaign = Campaign(small_grid(), store=store, jobs=2)
+        with pytest.raises(ValueError, match=f"'vectorized'; {known}"):
+            campaign.run(backend="vectorized")
+        assert not store.exists() or not store.read_text()
+
+    def test_retired_backend_records_still_resume(self, tmp_path):
+        # Journals written before the per-scenario "vectorized" backend
+        # was retired hold records tagged with it.  The tag is provenance
+        # only: such records still settle resume on every backend and
+        # leave the summary bytes alone.
+        fresh = Campaign(small_grid(), store=tmp_path / "fresh.jsonl",
+                         backend="batched")
+        fresh.run()
+        fresh.write_summary(tmp_path / "fresh.summary")
+        journal = (tmp_path / "fresh.jsonl").read_text()
+        assert journal.count('"backend":"batched"') == 12
+        for backend in ("auto", "reference"):
+            store = tmp_path / f"old-{backend}.jsonl"
+            store.write_text(journal.replace(
+                '"backend":"batched"', '"backend":"vectorized"'
+            ))
+            campaign = Campaign(small_grid(), store=store, backend=backend)
+            report = campaign.run()
+            assert (report.executed, report.skipped) == (0, 12)
+            assert {r.backend for r in campaign.completed_results()} == {
+                "vectorized"
+            }
+            campaign.write_summary(tmp_path / f"{backend}.summary")
+            assert (tmp_path / f"{backend}.summary").read_bytes() == (
+                tmp_path / "fresh.summary"
+            ).read_bytes()
+
 
 class TestAcceptance:
     """The PR's acceptance scenario, sized to stay fast: >= 200 scenarios,

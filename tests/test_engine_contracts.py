@@ -16,7 +16,8 @@ from repro.engine.contracts import (
 )
 from repro.engine.backends import (
     execute_scenario_batch,
-    execute_scenario_vectorized,
+    execute_scenario_with_backend,
+    simulate_single_lane,
 )
 from repro.engine.campaign import Campaign
 from repro.engine.scenarios import (
@@ -479,10 +480,10 @@ def _spec(seed=0, n=6, **kw):
     return ScenarioSpec(n=n, k=2, num_groups=2, seed=seed, noise=0.1, **kw)
 
 
-def test_vectorized_run_clean_under_contracts():
+def test_single_lane_run_clean_under_contracts():
     with contracts_enabled() as active:
-        result = execute_scenario_vectorized(_spec())
-        assert result.ok
+        run, _ = simulate_single_lane(_spec())
+        assert run.all_decided()
         assert active.checks > 0
 
 
@@ -533,11 +534,17 @@ def test_impure_adversary_caught_by_block_fetch_contract():
         spec = ScenarioSpec(n=4, k=1, adversary="_impure_test")
         with contracts_enabled():
             with pytest.raises(ContractViolation) as info:
-                execute_scenario_vectorized(spec)
+                execute_scenario_with_backend(spec, "batched")
+        with contracts_enabled():
+            with pytest.raises(ContractViolation) as solo:
+                simulate_single_lane(spec)
         assert info.value.contract == "adversary.block_fetch_purity"
         # The repro names the spec and backend for reproduction.
-        assert info.value.repro.get("backend") == "vectorized"
+        assert info.value.repro.get("backend") == "batched"
         assert info.value.repro.get("id") == spec.scenario_id
+        # The single-lane reference kernel checks its fetches too.
+        assert solo.value.contract == "adversary.block_fetch_purity"
+        assert solo.value.repro.get("kernel") == "simulate_fastpath"
     finally:
         ADVERSARIES.pop("_impure_test", None)
 

@@ -69,7 +69,7 @@ class TestRegistryBasics:
         assert result.status == "error"
         assert "unknown experiment family" in result.error
 
-    def test_forced_vectorized_on_custom_runner_family_errors(self):
+    def test_forced_batched_on_custom_runner_family_errors(self):
         # The ablation grid mixes fast-path-covered arms (non-hooked
         # variants, which a forced fast backend *can* run via the twin)
         # with reference-only arms (the invariant-hook arm), which must
@@ -81,13 +81,13 @@ class TestRegistryBasics:
             and not s.opt("min_over_all")
         )
         hooked = next(s for s in grid if s.opt("hooks", True))
-        ok = run_registered_scenario(covered, "vectorized")
-        assert ok.status == "ok" and ok.backend == "vectorized"
-        result = run_registered_scenario(hooked, "vectorized")
+        ok = run_registered_scenario(covered, "batched")
+        assert ok.status == "ok" and ok.backend == "batched"
+        result = run_registered_scenario(hooked, "batched")
         assert result.status == "error"
         assert "FastPathUnsupported" in result.error
         with pytest.raises(ValueError, match="does not support backend"):
-            family_campaign("ablation", backend="vectorized")
+            family_campaign("ablation", backend="batched")
 
 
 class TestFigure1Family:

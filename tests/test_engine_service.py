@@ -169,6 +169,22 @@ class TestServedEquivalence:
                 d.client.job("c9999")
             assert excinfo.value.code == 404
 
+    def test_retired_backend_rejected_with_400(self, tmp_path):
+        # A client that still sends the retired per-scenario backend gets
+        # a 400 up front, not a job full of retriable timeout records.
+        from repro.engine.service import ServiceError
+
+        store = tmp_path / "x.jsonl"
+        with daemon(tmp_path) as d:
+            for source in ({"grid": GRID_B_AXES}, {"family": "latency"}):
+                with pytest.raises(ServiceError) as excinfo:
+                    d.client.submit(
+                        {**source, "backend": "vectorized", "store": str(store)}
+                    )
+                assert excinfo.value.code == 400
+                assert "unknown backend 'vectorized'" in str(excinfo.value)
+        assert not store.exists()
+
 
 class TestServedRobustness:
     def test_worker_kill_reconverges_to_fault_free_bytes(self, tmp_path):

@@ -126,7 +126,6 @@ def test_seeded_budget_runs_clean():
 
 def test_forced_fast_backend_rejected():
     family = get_family("fuzz")
-    assert not family.supports_backend("vectorized")
     assert not family.supports_backend("batched")
     assert family.supports_backend("reference")
 

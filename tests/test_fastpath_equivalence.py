@@ -1,4 +1,4 @@
-"""Backend equivalence: the vectorized fast path vs the reference simulator.
+"""Kernel equivalence: the single-lane fast path vs the reference simulator.
 
 The fast path's contract is *exactness*, not approximation: for every
 scenario it supports, all summary metrics — decision rounds, distinct
@@ -23,11 +23,13 @@ from repro.adversaries.partition import PartitionAdversary
 from repro.adversaries.static import StaticAdversary
 from repro.engine.backends import (
     BACKEND_AUTO,
+    BACKEND_BATCHED,
     BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
-    execute_scenario_vectorized,
+    _fast_builder,
+    _stock_result,
+    batch_compatible,
     execute_scenario_with_backend,
-    fastpath_supported,
+    simulate_single_lane,
 )
 from repro.engine.campaign import Campaign
 from repro.engine.executor import execute_scenario, execute_scenarios
@@ -47,11 +49,11 @@ from repro.rounds.simulator import RoundSimulator, SimulationConfig
 
 def assert_equivalent(spec: ScenarioSpec) -> None:
     reference = execute_scenario(spec)
-    vectorized = execute_scenario_vectorized(spec)
     assert reference.status == "ok", reference.error
-    assert vectorized.status == "ok", vectorized.error
     # One line covers every metric field and the decision values.
-    assert canonical_line(reference) == canonical_line(vectorized)
+    assert canonical_line(reference) == canonical_line(
+        _stock_result(spec, *simulate_single_lane(spec))
+    )
 
 
 class TestScenarioEquivalence:
@@ -206,7 +208,7 @@ class TestCampaignEquivalence:
 
     def test_summaries_byte_identical_across_backends(self, tmp_path):
         paths = {}
-        for backend in (BACKEND_REFERENCE, BACKEND_VECTORIZED):
+        for backend in (BACKEND_REFERENCE, BACKEND_BATCHED):
             campaign = Campaign(
                 self.GRID,
                 store=tmp_path / f"journal_{backend}.jsonl",
@@ -217,38 +219,38 @@ class TestCampaignEquivalence:
             summary = tmp_path / f"summary_{backend}.jsonl"
             campaign.write_summary(summary)
             paths[backend] = summary.read_bytes()
-        assert paths[BACKEND_REFERENCE] == paths[BACKEND_VECTORIZED]
+        assert paths[BACKEND_REFERENCE] == paths[BACKEND_BATCHED]
 
     def test_journal_records_tag_backend_but_summary_does_not(self, tmp_path):
         store = tmp_path / "journal.jsonl"
         campaign = Campaign(
             ScenarioGrid(n=[4], k=[2], num_groups=[2], seed=[0]),
             store=store,
-            backend=BACKEND_VECTORIZED,
+            backend=BACKEND_BATCHED,
         )
         campaign.run()
         journal_record = store.read_text().strip()
-        assert '"backend":"vectorized"' in journal_record
+        assert '"backend":"batched"' in journal_record
         summary = tmp_path / "summary.jsonl"
         campaign.write_summary(summary)
         assert '"backend"' not in summary.read_text()
         # The decoded record keeps the provenance.
-        assert campaign.completed_results()[0].backend == "vectorized"
+        assert campaign.completed_results()[0].backend == "batched"
 
     def test_resume_across_backends(self, tmp_path):
         # A journal written by one backend satisfies resume for the other
         # (content-hash ids and metrics agree), so nothing re-executes.
         store = tmp_path / "journal.jsonl"
         grid = ScenarioGrid(n=[4, 5], k=[2], num_groups=[2], seed=range(2))
-        Campaign(grid, store=store, backend=BACKEND_VECTORIZED).run()
+        Campaign(grid, store=store, backend=BACKEND_BATCHED).run()
         report = Campaign(grid, store=store, backend=BACKEND_REFERENCE).run()
         assert report.executed == 0
         assert report.skipped == report.total
 
     def test_execute_scenarios_backend_parallel_matches_serial(self):
         specs = termination_grid(ns=[4, 6], seeds=range(3), noise=0.2)
-        serial = execute_scenarios(specs, jobs=1, backend=BACKEND_VECTORIZED)
-        parallel = execute_scenarios(specs, jobs=2, backend=BACKEND_VECTORIZED)
+        serial = execute_scenarios(specs, jobs=1, backend=BACKEND_BATCHED)
+        parallel = execute_scenarios(specs, jobs=2, backend=BACKEND_BATCHED)
         assert [canonical_line(r) for r in serial] == [
             canonical_line(r) for r in parallel
         ]
@@ -260,10 +262,10 @@ class TestBackendDispatch:
         options=(("f", 1),),
     )
 
-    def test_vectorized_raises_for_unsupported_algorithm(self):
-        assert not fastpath_supported(self.UNSUPPORTED)
-        with pytest.raises(FastPathUnsupported):
-            execute_scenario_vectorized(self.UNSUPPORTED)
+    def test_builder_lookup_raises_for_unsupported_algorithm(self):
+        assert not batch_compatible(self.UNSUPPORTED)
+        with pytest.raises(FastPathUnsupported, match="has no fast path"):
+            _fast_builder(self.UNSUPPORTED)
 
     def test_auto_falls_back_to_reference(self):
         result = execute_scenario_with_backend(self.UNSUPPORTED, BACKEND_AUTO)
@@ -276,16 +278,18 @@ class TestBackendDispatch:
     def test_auto_uses_fastpath_when_supported(self):
         spec = ScenarioSpec(n=5, k=2, num_groups=2, seed=1)
         result = execute_scenario_with_backend(spec, BACKEND_AUTO)
-        assert result.backend == "vectorized"
+        assert result.backend == "batched"
         assert result.status == "ok"
 
-    def test_forced_vectorized_reports_unsupported_as_error(self):
+    def test_forced_batched_reports_unsupported_as_error(self):
         result = execute_scenario_with_backend(
-            self.UNSUPPORTED, BACKEND_VECTORIZED
+            self.UNSUPPORTED, BACKEND_BATCHED
         )
         assert result.status == "error"
-        assert "FastPathUnsupported" in result.error
-        assert result.backend == "vectorized"
+        assert result.error == (
+            "FastPathUnsupported: algorithm 'floodmin' has no fast path"
+        )
+        assert result.backend == "batched"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -302,11 +306,11 @@ class TestBackendDispatch:
 
     def test_journal_line_round_trips_backend(self):
         spec = ScenarioSpec(n=4, k=2, num_groups=2, seed=0)
-        result = execute_scenario_vectorized(spec)
+        result = execute_scenario_with_backend(spec, BACKEND_BATCHED)
         decoded = decode_result(
             __import__("json").loads(journal_line(result))
         )
-        assert decoded.backend == "vectorized"
+        assert decoded.backend == "batched"
         assert canonical_line(decoded) == canonical_line(result)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.backends import execute_scenario_vectorized
+from repro.engine.backends import _stock_result, simulate_single_lane
 from repro.engine.executor import execute_scenarios
 from repro.engine.scenarios import ScenarioSpec
 from repro.engine.store import canonical_line
@@ -236,5 +236,5 @@ def test_straggler_grid_keeps_the_deterministic_counters():
     assert rec.counter("kernel.loop_rounds") < 74
     for spec, result in zip(STRAGGLER_GRID, results):
         assert canonical_line(result) == canonical_line(
-            execute_scenario_vectorized(spec)
+            _stock_result(spec, *simulate_single_lane(spec))
         ), spec

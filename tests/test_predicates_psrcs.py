@@ -217,7 +217,7 @@ class TestPsrcsProperties:
 
 
 class TestMatrixChecker:
-    """check_skeleton_matrix (the vectorized backend's entry point) must
+    """check_skeleton_matrix (the fast path's entry point) must
     agree with the set-based checker on the same skeleton."""
 
     @pytest.mark.parametrize("seed", range(6))
