@@ -133,7 +133,9 @@ class TestCampaignCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
 
-    @pytest.mark.parametrize("command", [["campaign", "run"], ["sweep"]])
+    @pytest.mark.parametrize(
+        "command", [["campaign", "run"], ["sweep"]], ids=["run", "family"]
+    )
     def test_retired_backend_exits_2(self, capsys, tmp_path, command):
         store = str(tmp_path / "journal.jsonl")
         with pytest.raises(SystemExit) as exc:
